@@ -1,6 +1,6 @@
 //! Rank-local cell lattice with ghost margins.
 
-use crate::{morton_key, AtomStore};
+use crate::{morton_key, AtomStore, CellBins};
 use sc_geom::{CellRegion, IVec3, Vec3};
 
 /// A rank-local cell lattice: an owned region of cells plus ghost margins
@@ -208,16 +208,12 @@ impl GhostLattice {
         &self.order[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 
-    /// Like [`GhostLattice::cell_atoms`] but returns an empty slice for
-    /// cells outside the extended region — enumeration sweeps may step off
-    /// the local lattice, where there are simply no local atoms.
+    /// The bins as a flat view over the extended region (bounded
+    /// indexing: cells off the region hold no atoms).
     #[inline]
-    pub fn cell_atoms_or_empty(&self, q: IVec3) -> &[u32] {
-        if self.extended_region().contains(q) {
-            self.cell_atoms(q)
-        } else {
-            &[]
-        }
+    pub fn bins(&self) -> CellBins<'_> {
+        let total = self.owned_extent + self.lo_margin + self.hi_margin;
+        CellBins::new(&self.starts, &self.order, total, -self.lo_margin, false)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The global periodic cell lattice with CSR binning.
 
-use crate::{morton_key, AtomStore};
+use crate::{morton_key, AtomStore, CellBins};
 use sc_geom::{IVec3, SimulationBox, Vec3};
 
 /// A periodic cell lattice over a [`SimulationBox`] with compressed
@@ -161,6 +161,12 @@ impl CellLattice {
     pub fn cell_atoms(&self, q: IVec3) -> &[u32] {
         let c = self.cell_index(q);
         &self.order[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// The bins as a flat view (periodic indexing).
+    #[inline]
+    pub fn bins(&self) -> CellBins<'_> {
+        CellBins::new(&self.starts, &self.order, self.dims, IVec3::ZERO, true)
     }
 
     /// Average atoms per cell `⟨ρ_cell⟩` — the density parameter of the

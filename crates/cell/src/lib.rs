@@ -13,6 +13,8 @@
 //! * [`GhostLattice`] — a rank-local lattice over an owned cell region plus
 //!   ghost margins, used by the distributed runtime: owned atoms first,
 //!   imported ghosts appended, non-periodic local indexing.
+//! * [`CellBins`] — a flat, borrowed view of either lattice's bins, so one
+//!   sweep kernel serves both.
 //! * [`Species`] — a compact species id with per-species mass lookup.
 //! * [`morton_key`] — Z-order keys for cell coordinates; backs the
 //!   data-sorted atom layout (`AtomStore::sort_by_cell`) that keeps cell
@@ -20,12 +22,14 @@
 
 #![warn(missing_docs)]
 
+mod bins;
 mod ghost;
 mod lattice;
 mod morton;
 mod species;
 mod store;
 
+pub use bins::CellBins;
 pub use ghost::GhostLattice;
 pub use lattice::CellLattice;
 pub use morton::morton_key;

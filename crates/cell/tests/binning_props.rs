@@ -104,7 +104,43 @@ proptest! {
             .filter(|&&r| region.contains(lat.local_cell_of(r)))
             .count();
         prop_assert_eq!(binned, expect);
-        // Out-of-region queries are empty rather than panicking.
-        prop_assert!(lat.cell_atoms_or_empty(IVec3::splat(-10)).is_empty());
+        // Out-of-region cells have no flat index rather than panicking.
+        prop_assert!(lat.bins().index(IVec3::splat(-10)).is_none());
+    }
+
+    /// The flat bins view agrees with both lattices' own lookups: every
+    /// cell's index round-trips through `coord`, holds the same atoms, and
+    /// the periodic view wraps offsets the way `cell_atoms` does.
+    #[test]
+    fn flat_bins_agree_with_lattice_lookups((store, bbox) in store_strategy(), hi in 0i32..3) {
+        prop_assume!(bbox.lengths().x >= 3.0);
+        let mut lat = CellLattice::new(bbox, 1.0);
+        lat.rebuild(&store);
+        let bins = lat.bins();
+        prop_assert_eq!(bins.num_cells(), lat.num_cells());
+        for q in lat.cells() {
+            let c = bins.index(q).unwrap();
+            prop_assert_eq!(bins.coord(c), q);
+            prop_assert_eq!(bins.atoms(c), lat.cell_atoms(q));
+            let far = q + lat.dims() * 2 - IVec3::splat(1);
+            prop_assert_eq!(bins.atoms(bins.index(far).unwrap()), lat.cell_atoms(far));
+        }
+        let mut ghost = GhostLattice::new(
+            Vec3::splat(2.0),
+            Vec3::splat(1.0),
+            IVec3::splat(3),
+            IVec3::splat(hi),
+            IVec3::splat(2 - hi),
+        );
+        ghost.rebuild(&store, store.len());
+        let bins = ghost.bins();
+        prop_assert_eq!(bins.num_cells() as i64, ghost.extended_region().cell_count());
+        for q in ghost.extended_region().iter() {
+            let c = bins.index(q).unwrap();
+            prop_assert_eq!(bins.coord(c), q);
+            prop_assert_eq!(bins.atoms(c), ghost.cell_atoms(q));
+        }
+        prop_assert!(bins.index(IVec3::splat(-hi - 1)).is_none());
+        prop_assert!(bins.index(IVec3::splat(3 + 2 - hi)).is_none());
     }
 }

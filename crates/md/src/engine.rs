@@ -25,10 +25,16 @@
 //! on a periodic [`CellLattice`] (minimum-image displacements), the
 //! distributed runtime on a rank-local ghost lattice (plain differences,
 //! since ghosts are image-shifted into the local frame).
+//!
+//! Triplets, the dominant search of the silica workloads, go through one
+//! sweep kernel shared by both: [`visit_triplets_in_cells`] skips the cell
+//! pairs a [`LinkMask`] shows to hold no in-cutoff atom pair, without
+//! changing the callback sequence or the candidate count.
 
-use sc_cell::{AtomStore, CellLattice};
+use sc_cell::{AtomStore, CellBins, CellLattice};
 use sc_core::{Path, Pattern};
 use sc_geom::{IVec3, Vec3};
+use std::collections::HashMap;
 
 /// How reflective tuple duplicates are suppressed during enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,15 +46,29 @@ pub enum Dedup {
     Guarded,
 }
 
-/// Triplet paths sharing one `(v0, v1)` prefix: the first leg's cell
-/// lookups and `d01` cutoff check run once per group instead of once per
-/// path. SC(3) collapses 378 paths into 63 groups, FS(3) 729 into 27 — the
-/// dominant per-cell enumeration cost in triplet-heavy workloads (silica).
+/// One triplet path's last leg inside a [`TripletGroup`].
+#[derive(Debug, Clone, Copy)]
+struct Suffix {
+    /// Block index of `v2`.
+    c2: usize,
+    /// Link bit of the step `v2 − v1`.
+    link: u32,
+    /// Whether the reflective-duplicate guard applies.
+    guard: bool,
+}
+
+/// Triplet paths sharing one `(v0, v1)` prefix: the first leg's cells and
+/// `d01` cutoff check are resolved once per group instead of once per path.
+/// SC(3) collapses 378 paths into 63 groups, FS(3) 729 into 27.
 #[derive(Debug, Clone)]
-struct PrefixGroup {
-    prefix: [IVec3; 2],
-    /// `(v2, guard)` per member path, in path order.
-    suffixes: Vec<(IVec3, bool)>,
+struct TripletGroup {
+    /// Block indices of `v0` and `v1`.
+    c0: usize,
+    c1: usize,
+    /// Link bit of the step `v1 − v0`.
+    link: u32,
+    /// One entry per member path, in path order.
+    suffixes: Vec<Suffix>,
 }
 
 /// A pattern compiled for enumeration: per-path offsets plus the
@@ -57,8 +77,13 @@ struct PrefixGroup {
 pub struct PatternPlan {
     n: usize,
     paths: Vec<(Vec<IVec3>, bool)>,
-    /// Populated for n = 3 only; empty otherwise.
-    triplet_groups: Vec<PrefixGroup>,
+    /// The distinct cell offsets the triplet paths read around a base cell
+    /// (27 for SC(3), 125 for FS(3)), first-seen order. Empty unless n = 3.
+    block: Vec<IVec3>,
+    /// The triplet paths grouped by prefix, groups in first-seen prefix
+    /// order and suffixes in path order — a pure reordering of the path
+    /// list, so enumeration stays deterministic. Empty unless n = 3.
+    triplet_groups: Vec<TripletGroup>,
 }
 
 impl PatternPlan {
@@ -74,21 +99,32 @@ impl PatternPlan {
                 (p.offsets().to_vec(), guard)
             })
             .collect();
-        let mut triplet_groups: Vec<PrefixGroup> = Vec::new();
+        let mut block: Vec<IVec3> = Vec::new();
+        let mut triplet_groups: Vec<TripletGroup> = Vec::new();
         if pattern.n() == 3 {
-            // First-seen prefix order, suffixes in path order: the grouping
-            // is a pure reordering of the path list, so enumeration stays
-            // deterministic.
+            let mut slots: HashMap<IVec3, usize> = HashMap::new();
+            let mut slot = |v: IVec3| {
+                *slots.entry(v).or_insert_with(|| {
+                    block.push(v);
+                    block.len() - 1
+                })
+            };
             for (offsets, guard) in &paths {
-                let prefix = [offsets[0], offsets[1]];
-                match triplet_groups.iter_mut().find(|g| g.prefix == prefix) {
-                    Some(g) => g.suffixes.push((offsets[2], *guard)),
-                    None => triplet_groups
-                        .push(PrefixGroup { prefix, suffixes: vec![(offsets[2], *guard)] }),
+                let [v0, v1, v2] = [offsets[0], offsets[1], offsets[2]];
+                let (c0, c1) = (slot(v0), slot(v1));
+                let suffix = Suffix { c2: slot(v2), link: link_bit(v2 - v1), guard: *guard };
+                match triplet_groups.iter_mut().find(|g| (g.c0, g.c1) == (c0, c1)) {
+                    Some(g) => g.suffixes.push(suffix),
+                    None => triplet_groups.push(TripletGroup {
+                        c0,
+                        c1,
+                        link: link_bit(v1 - v0),
+                        suffixes: vec![suffix],
+                    }),
                 }
             }
         }
-        PatternPlan { n: pattern.n(), paths, triplet_groups }
+        PatternPlan { n: pattern.n(), paths, block, triplet_groups }
     }
 
     /// The tuple order n.
@@ -111,7 +147,13 @@ impl PatternPlan {
 /// Lemma 5 / Fig. 7.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VisitStats {
-    /// Candidate tuples examined (the size of the searched space `S_cell`).
+    /// The pattern's search space `S_cell` (Eq. 29): summed over base cells
+    /// and paths, the product of the occupancies of the path's cells,
+    /// Σ |c(q+v0)|·…·|c(q+v_{n−1})|. The pair, triplet and quadruplet
+    /// visitors count it from occupancies, so it is not the inner-loop trip
+    /// count: the triplet kernel skips cell pairs that cannot accept a
+    /// tuple and still reports the full space. The arbitrary-n visitor
+    /// counts the leaves of its cutoff-pruned recursion instead.
     pub candidates: u64,
     /// Tuples that passed cutoff, distinctness, and guard — i.e. members of
     /// the filtered force set handed to the potential.
@@ -129,10 +171,15 @@ impl VisitStats {
 /// What tuple enumeration needs from the world: cell bins, positions,
 /// global ids, and a displacement rule.
 pub trait TupleSource {
-    /// Atom slots binned into cell `q` (indexing convention is the
-    /// implementor's — periodic for the global lattice, bounded-local for
-    /// ghost lattices).
-    fn atoms_in(&self, q: IVec3) -> &[u32];
+    /// The binned lattice (indexing convention is the implementor's —
+    /// periodic for the global lattice, bounded-local for ghost lattices).
+    fn bins(&self) -> CellBins<'_>;
+    /// Atom slots binned into cell `q` (empty off a bounded lattice).
+    #[inline]
+    fn atoms_in(&self, q: IVec3) -> &[u32] {
+        let bins = self.bins();
+        bins.index(q).map_or(&[], |c| bins.atoms(c))
+    }
     /// Position of slot `i`.
     fn pos(&self, i: u32) -> Vec3;
     /// Stable global id of slot `i` (guards compare these).
@@ -175,8 +222,8 @@ impl<'a> PeriodicSource<'a> {
 
 impl TupleSource for PeriodicSource<'_> {
     #[inline]
-    fn atoms_in(&self, q: IVec3) -> &[u32] {
-        self.lat.cell_atoms(q)
+    fn bins(&self) -> CellBins<'_> {
+        self.lat.bins()
     }
     #[inline]
     fn pos(&self, i: u32) -> Vec3 {
@@ -261,6 +308,17 @@ impl DispRule {
             Some(l) => DispRule { l, half: l * 0.5 },
             None => DispRule { l: Vec3::ZERO, half: Vec3::splat(f64::INFINITY) },
         }
+    }
+
+    /// Displacement `b − a` under the rule, with the lane loops' per-axis
+    /// arithmetic.
+    #[inline]
+    fn disp(self, a: Vec3, b: Vec3) -> Vec3 {
+        Vec3::new(
+            min_image1(b.x - a.x, self.l.x, self.half.x),
+            min_image1(b.y - a.y, self.l.y, self.half.y),
+            min_image1(b.z - a.z, self.l.z, self.half.z),
+        )
     }
 }
 
@@ -370,88 +428,159 @@ pub fn visit_pairs_in_cell_src(
     stats
 }
 
+/// Link bit of a step longer than one cell (reach-k plans). The mask does
+/// not resolve such steps, so every cell word carries this bit and a test
+/// against it always passes.
+const FAR_LINK: u32 = 1 << 27;
+
+/// The link-mask bit of cell step `d`: one per `d ∈ {−1,0,1}³`, and
+/// [`FAR_LINK`] for longer steps.
+fn link_bit(d: IVec3) -> u32 {
+    if d.linf_norm() <= 1 {
+        1 << ((d.x + 1) * 9 + (d.y + 1) * 3 + (d.z + 1))
+    } else {
+        FAR_LINK
+    }
+}
+
+/// Which neighbouring cells of a binned lattice share an in-cutoff atom
+/// pair: one word per cell, with bit `δ` set when some atom of `c(q)` and
+/// some distinct atom of `c(q+δ)` are closer than the cutoff.
+///
+/// The triplet kernel reads it to skip a prefix group whose first leg has
+/// no in-cutoff pair, and a suffix cell that no second leg reaches. The
+/// mask cannot drop a real link: it is built with the kernel's own
+/// displacement rule and squared-distance expression, and where the kernel
+/// runs a leg in the other direction it sees the negated displacement,
+/// which IEEE arithmetic produces exactly (each minimum-image correction
+/// included). Skipping therefore removes only work that accepts nothing,
+/// and the callback sequence stays the same call for call.
+///
+/// A mask describes the bins and positions of its last
+/// [`LinkMask::rebuild`]; rebuild it after every lattice rebuild.
+#[derive(Debug, Clone, Default)]
+pub struct LinkMask {
+    words: Vec<u32>,
+}
+
+impl LinkMask {
+    /// Rebuilds the mask from `src`'s current bins and positions: each cell
+    /// against itself and its 13 forward neighbours, stopping at the first
+    /// in-cutoff pair and setting the bit on both cells.
+    pub fn rebuild(&mut self, src: &impl TupleSource, rcut: f64) {
+        let bins = src.bins();
+        let rc2 = rcut * rcut;
+        let rule = DispRule::of(src);
+        self.words.clear();
+        self.words.resize(bins.num_cells(), FAR_LINK);
+        let forward: Vec<IVec3> = IVec3::box_iter(IVec3::splat(-1), IVec3::splat(1))
+            .filter(|&d| d >= IVec3::ZERO)
+            .collect();
+        for c in 0..bins.num_cells() {
+            let a = bins.atoms(c);
+            if a.is_empty() {
+                continue;
+            }
+            let q = bins.coord(c);
+            for &d in &forward {
+                let Some(c2) = bins.index(q + d) else { continue };
+                let b = bins.atoms(c2);
+                let linked = a.iter().enumerate().any(|(k, &i)| {
+                    let p = src.pos(i);
+                    // Within one cell, each unordered pair once.
+                    let others = if d == IVec3::ZERO { &a[k + 1..] } else { b };
+                    others.iter().any(|&j| rule.disp(p, src.pos(j)).norm_sq() < rc2)
+                });
+                if linked {
+                    self.words[c] |= link_bit(d);
+                    self.words[c2] |= link_bit(-d);
+                }
+            }
+        }
+    }
+}
+
 /// Visits every undirected chain triplet `(i0, i1, i2)` generated by `plan`
-/// at base cell `q`, with both legs shorter than `rcut`.
+/// from the base cells `cells`, in order, with both legs shorter than
+/// `rcut`. `links` must be built from `src`'s current bins with `rcut`.
 ///
 /// The callback receives `(i0, i1, i2, d01, d12)` where `d01 = r1 − r0` and
 /// `d12 = r2 − r1` are link displacement vectors.
-pub fn visit_triplets_in_cell_src(
+///
+/// Per base cell the plan's cell block is resolved once. A prefix group is
+/// skipped when `links` shows no in-cutoff pair across its first leg, and a
+/// suffix cell when it shows none across the second; what survives runs
+/// groups in plan order, then `i0`, `i1`, suffixes, `i2`. The candidate
+/// count is the full search space from occupancies (see
+/// [`VisitStats::candidates`]).
+pub fn visit_triplets_in_cells(
     src: &impl TupleSource,
+    links: &LinkMask,
     plan: &PatternPlan,
     rcut: f64,
-    q: IVec3,
+    cells: impl IntoIterator<Item = IVec3>,
     mut f: impl FnMut(u32, u32, u32, Vec3, Vec3),
 ) -> VisitStats {
     debug_assert_eq!(plan.n, 3);
+    let bins = src.bins();
+    debug_assert_eq!(links.words.len(), bins.num_cells(), "link mask of another lattice");
     let rc2 = rcut * rcut;
     let rule = DispRule::of(src);
     let mut stats = VisitStats::default();
-    let mut g = Gather::new();
-    let mut lanes = Lanes::new();
-    // Suffix cells resolved once per (group, base cell); reused across
-    // every (i0, i1) pair of the group.
-    let mut cells_2: Vec<(&[u32], bool)> = Vec::new();
-    for group in &plan.triplet_groups {
-        let cell_0 = src.atoms_in(q + group.prefix[0]);
-        if cell_0.is_empty() {
-            continue;
-        }
-        let cell_1 = src.atoms_in(q + group.prefix[1]);
-        if cell_1.is_empty() {
-            continue;
-        }
-        // `total` counts every suffix slot — including empty cells — so the
-        // per-(i0,i1) candidate accounting stays exactly what the per-path
-        // loop charged: Σ_paths |cell_2(path)|.
-        cells_2.clear();
-        let mut total: u64 = 0;
-        for &(v2, guard) in &group.suffixes {
-            let c = src.atoms_in(q + v2);
-            total += c.len() as u64;
-            if !c.is_empty() {
-                cells_2.push((c, guard));
+    // `(atoms, link word)` per block offset of the current base cell.
+    let mut block: Vec<(&[u32], u32)> = Vec::with_capacity(plan.block.len());
+    // The current group's suffix cells that a second leg can reach.
+    let mut live: Vec<(&[u32], bool)> = Vec::new();
+    for q in cells {
+        block.clear();
+        block.extend(plan.block.iter().map(|&v| match bins.index(q + v) {
+            Some(c) => (bins.atoms(c), links.words[c]),
+            None => (&[][..], 0),
+        }));
+        for group in &plan.triplet_groups {
+            let (cell_0, links_0) = block[group.c0];
+            let (cell_1, links_1) = block[group.c1];
+            let pairs = (cell_0.len() * cell_1.len()) as u64;
+            if pairs == 0 {
+                continue;
             }
-        }
-        if total == 0 {
-            continue;
-        }
-        for &i0 in cell_0 {
-            let g0 = src.gid(i0);
-            for &i1 in cell_1 {
-                stats.candidates += total;
-                if i1 == i0 {
-                    continue;
-                }
-                let d01 = src.disp(i0, i1);
-                if d01.norm_sq() >= rc2 {
-                    continue;
-                }
-                let p1 = src.pos(i1);
-                for &(cell_2, guard) in &cells_2 {
-                    if cell_2.len() < BATCH_MIN {
+            let total: u64 = group.suffixes.iter().map(|s| block[s.c2].0.len() as u64).sum();
+            stats.candidates += pairs * total;
+            if links_0 & group.link == 0 {
+                continue;
+            }
+            live.clear();
+            live.extend(
+                group
+                    .suffixes
+                    .iter()
+                    .filter(|s| links_1 & s.link != 0 && !block[s.c2].0.is_empty())
+                    .map(|s| (block[s.c2].0, s.guard)),
+            );
+            if live.is_empty() {
+                continue;
+            }
+            for &i0 in cell_0 {
+                let p0 = src.pos(i0);
+                let g0 = src.gid(i0);
+                for &i1 in cell_1 {
+                    if i1 == i0 {
+                        continue;
+                    }
+                    let p1 = src.pos(i1);
+                    let d01 = rule.disp(p0, p1);
+                    if d01.norm_sq() >= rc2 {
+                        continue;
+                    }
+                    for &(cell_2, guard) in &live {
                         for &i2 in cell_2 {
                             if i2 == i1 || i2 == i0 || (guard && g0 > src.gid(i2)) {
                                 continue;
                             }
-                            let d12 = src.disp(i1, i2);
+                            let d12 = rule.disp(p1, src.pos(i2));
                             if d12.norm_sq() < rc2 {
                                 stats.accepted += 1;
                                 f(i0, i1, i2, d01, d12);
-                            }
-                        }
-                        continue;
-                    }
-                    for chunk in cell_2.chunks(BATCH) {
-                        let m = chunk.len();
-                        g.load(src, chunk);
-                        lanes.compute(p1, &g, m, rule);
-                        for (k, &i2) in chunk.iter().enumerate() {
-                            if i2 == i1 || i2 == i0 || (guard && g0 > g.gid[k]) {
-                                continue;
-                            }
-                            if lanes.r2[k] < rc2 {
-                                stats.accepted += 1;
-                                f(i0, i1, i2, d01, lanes.disp(k));
                             }
                         }
                     }
@@ -686,18 +815,6 @@ pub fn visit_pairs_in_cell(
     visit_pairs_in_cell_src(&PeriodicSource::new(lat, store), plan, rcut, q, f)
 }
 
-/// Per-cell triplet visitor over the global periodic lattice.
-pub fn visit_triplets_in_cell(
-    lat: &CellLattice,
-    store: &AtomStore,
-    plan: &PatternPlan,
-    rcut: f64,
-    q: IVec3,
-    f: impl FnMut(u32, u32, u32, Vec3, Vec3),
-) -> VisitStats {
-    visit_triplets_in_cell_src(&PeriodicSource::new(lat, store), plan, rcut, q, f)
-}
-
 /// Per-cell quadruplet visitor over the global periodic lattice.
 pub fn visit_quadruplets_in_cell(
     lat: &CellLattice,
@@ -725,19 +842,19 @@ pub fn visit_pairs(
     stats
 }
 
-/// Runs a triplet visitor over every cell of the lattice (serial).
+/// Runs the triplet kernel over every cell of the lattice (serial),
+/// building the lattice's link mask first.
 pub fn visit_triplets(
     lat: &CellLattice,
     store: &AtomStore,
     plan: &PatternPlan,
     rcut: f64,
-    mut f: impl FnMut(u32, u32, u32, Vec3, Vec3),
+    f: impl FnMut(u32, u32, u32, Vec3, Vec3),
 ) -> VisitStats {
-    let mut stats = VisitStats::default();
-    for q in lat.cells() {
-        stats.merge(visit_triplets_in_cell(lat, store, plan, rcut, q, &mut f));
-    }
-    stats
+    let src = PeriodicSource::new(lat, store);
+    let mut links = LinkMask::default();
+    links.rebuild(&src, rcut);
+    visit_triplets_in_cells(&src, &links, plan, rcut, lat.cells(), f)
 }
 
 /// Runs a quadruplet visitor over every cell of the lattice (serial).
@@ -759,8 +876,32 @@ pub fn visit_quadruplets(
 mod tests {
     use super::*;
     use crate::workload::random_gas;
-    use sc_core::{generate_fs, shift_collapse};
+    use proptest::prelude::*;
+    use sc_cell::{GhostLattice, Species};
+    use sc_core::{generate_fs, oc_shift, r_collapse, shift_collapse};
     use std::collections::HashSet;
+
+    /// A plain-difference source (`disp = r_j − r_i`, no minimum image)
+    /// over either lattice's bins — the rank-local geometry.
+    struct Plain<'a> {
+        bins: CellBins<'a>,
+        store: &'a AtomStore,
+    }
+
+    impl TupleSource for Plain<'_> {
+        fn bins(&self) -> CellBins<'_> {
+            self.bins
+        }
+        fn pos(&self, i: u32) -> Vec3 {
+            self.store.positions()[i as usize]
+        }
+        fn gid(&self, i: u32) -> u64 {
+            self.store.ids()[i as usize]
+        }
+        fn disp(&self, i: u32, j: u32) -> Vec3 {
+            self.pos(j) - self.pos(i)
+        }
+    }
 
     fn setup(n_atoms: usize, box_l: f64, rcut: f64) -> (CellLattice, AtomStore) {
         let (store, bbox) = random_gas(n_atoms, box_l, 7);
@@ -1039,27 +1180,9 @@ mod tests {
         // A plain-difference (no-PBC) source exercises the dead-correction
         // encoding of the displacement rule: l = 0, half = ∞ must be a
         // bitwise no-op, never NaN.
-        struct Plain<'a> {
-            lat: &'a CellLattice,
-            store: &'a AtomStore,
-        }
-        impl TupleSource for Plain<'_> {
-            fn atoms_in(&self, q: IVec3) -> &[u32] {
-                self.lat.cell_atoms(q)
-            }
-            fn pos(&self, i: u32) -> Vec3 {
-                self.store.positions()[i as usize]
-            }
-            fn gid(&self, i: u32) -> u64 {
-                self.store.ids()[i as usize]
-            }
-            fn disp(&self, i: u32, j: u32) -> Vec3 {
-                self.pos(j) - self.pos(i)
-            }
-        }
         let rcut = 1.0;
         let (lat, store) = setup(120, 4.0, rcut);
-        let src = Plain { lat: &lat, store: &store };
+        let src = Plain { bins: lat.bins(), store: &store };
         let plan = PatternPlan::new(&shift_collapse(2), Dedup::Collapsed);
         let mut seen = 0u64;
         for q in lat.cells() {
@@ -1073,5 +1196,305 @@ mod tests {
             });
         }
         assert!(seen > 0);
+    }
+
+    /// The grouped per-cell triplet visitor the link-masked kernel
+    /// replaced, kept as the ordered reference: per-path cell lookups, a
+    /// scalar loop below `BATCH_MIN` and a lane loop above it.
+    fn grouped_triplets_reference(
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        q: IVec3,
+        f: &mut impl FnMut(u32, u32, u32, Vec3, Vec3),
+    ) -> VisitStats {
+        // Prefix groups in first-seen order, suffixes in path order.
+        type Group = ([IVec3; 2], Vec<(IVec3, bool)>);
+        let mut groups: Vec<Group> = Vec::new();
+        for (offsets, guard) in &plan.paths {
+            let prefix = [offsets[0], offsets[1]];
+            match groups.iter_mut().find(|g| g.0 == prefix) {
+                Some(g) => g.1.push((offsets[2], *guard)),
+                None => groups.push((prefix, vec![(offsets[2], *guard)])),
+            }
+        }
+        let rc2 = rcut * rcut;
+        let rule = DispRule::of(src);
+        let mut stats = VisitStats::default();
+        let mut g = Gather::new();
+        let mut lanes = Lanes::new();
+        let mut cells_2: Vec<(&[u32], bool)> = Vec::new();
+        for (prefix, suffixes) in &groups {
+            let cell_0 = src.atoms_in(q + prefix[0]);
+            if cell_0.is_empty() {
+                continue;
+            }
+            let cell_1 = src.atoms_in(q + prefix[1]);
+            if cell_1.is_empty() {
+                continue;
+            }
+            cells_2.clear();
+            let mut total: u64 = 0;
+            for &(v2, guard) in suffixes {
+                let c = src.atoms_in(q + v2);
+                total += c.len() as u64;
+                if !c.is_empty() {
+                    cells_2.push((c, guard));
+                }
+            }
+            if total == 0 {
+                continue;
+            }
+            for &i0 in cell_0 {
+                let g0 = src.gid(i0);
+                for &i1 in cell_1 {
+                    stats.candidates += total;
+                    if i1 == i0 {
+                        continue;
+                    }
+                    let d01 = src.disp(i0, i1);
+                    if d01.norm_sq() >= rc2 {
+                        continue;
+                    }
+                    let p1 = src.pos(i1);
+                    for &(cell_2, guard) in &cells_2 {
+                        if cell_2.len() < BATCH_MIN {
+                            for &i2 in cell_2 {
+                                if i2 == i1 || i2 == i0 || (guard && g0 > src.gid(i2)) {
+                                    continue;
+                                }
+                                let d12 = src.disp(i1, i2);
+                                if d12.norm_sq() < rc2 {
+                                    stats.accepted += 1;
+                                    f(i0, i1, i2, d01, d12);
+                                }
+                            }
+                            continue;
+                        }
+                        for chunk in cell_2.chunks(BATCH) {
+                            let m = chunk.len();
+                            g.load(src, chunk);
+                            lanes.compute(p1, &g, m, rule);
+                            for (k, &i2) in chunk.iter().enumerate() {
+                                if i2 == i1 || i2 == i0 || (guard && g0 > g.gid[k]) {
+                                    continue;
+                                }
+                                if lanes.r2[k] < rc2 {
+                                    stats.accepted += 1;
+                                    f(i0, i1, i2, d01, lanes.disp(k));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        stats
+    }
+
+    type Call = (u32, u32, u32, [u64; 6]);
+
+    fn record(calls: &mut Vec<Call>) -> impl FnMut(u32, u32, u32, Vec3, Vec3) + '_ {
+        |i0, i1, i2, d01, d12| {
+            let b = [d01.x, d01.y, d01.z, d12.x, d12.y, d12.z].map(f64::to_bits);
+            calls.push((i0, i1, i2, b));
+        }
+    }
+
+    /// Asserts the link-masked kernel emits the reference's callback
+    /// sequence — same tuples, same order, bitwise-equal displacements —
+    /// and the same counters over `cells`. Returns the accepted count.
+    fn assert_kernel_matches_reference(
+        src: &impl TupleSource,
+        plan: &PatternPlan,
+        rcut: f64,
+        cells: &[IVec3],
+        what: &str,
+    ) -> u64 {
+        let mut expect = Vec::new();
+        let mut expect_stats = VisitStats::default();
+        {
+            let mut f = record(&mut expect);
+            for &q in cells {
+                expect_stats.merge(grouped_triplets_reference(src, plan, rcut, q, &mut f));
+            }
+        }
+        let mut links = LinkMask::default();
+        links.rebuild(src, rcut);
+        let mut got = Vec::new();
+        let got_stats = visit_triplets_in_cells(
+            src,
+            &links,
+            plan,
+            rcut,
+            cells.iter().copied(),
+            record(&mut got),
+        );
+        assert_eq!(got_stats, expect_stats, "{what}: counters");
+        assert_eq!(got.len(), expect.len(), "{what}: callback count");
+        if let Some(k) = (0..got.len()).find(|&k| got[k] != expect[k]) {
+            panic!("{what}: call {k} is {:?}, reference {:?}", got[k], expect[k]);
+        }
+        got_stats.accepted
+    }
+
+    /// SC, FS, OC-shift-only and R-collapse-only triplet plans.
+    fn triplet_plans() -> [(&'static str, PatternPlan); 4] {
+        let fs = generate_fs(3);
+        [
+            ("SC", PatternPlan::new(&shift_collapse(3), Dedup::Collapsed)),
+            ("FS", PatternPlan::new(&fs, Dedup::Guarded)),
+            ("OC-only", PatternPlan::new(&oc_shift(&fs), Dedup::Guarded)),
+            ("RC-only", PatternPlan::new(&r_collapse(&fs), Dedup::Collapsed)),
+        ]
+    }
+
+    /// `store` with its global ids permuted, so gid order differs from slot
+    /// order and the reflective guard decides on ids alone.
+    fn shuffled_ids(store: &AtomStore) -> AtomStore {
+        let n = store.len() as u64;
+        let mut out = AtomStore::single_species();
+        for i in 0..store.len() {
+            let id = (i as u64 * 7919 + 13) % n; // 7919 is prime, so a bijection
+            out.push(id, Species::DEFAULT, store.positions()[i], Vec3::ZERO);
+        }
+        out
+    }
+
+    /// Every plan on a periodic (minimum-image) source and on a
+    /// plain-difference source over a bounded rank-style lattice, from at
+    /// most `max_base_cells` base cells of each.
+    fn check_all_sources(store: &AtomStore, box_l: f64, rcut: f64, max_base_cells: usize) -> u64 {
+        let bbox = sc_geom::SimulationBox::cubic(box_l);
+        let mut lat = CellLattice::new(bbox, rcut);
+        lat.rebuild(store);
+        let periodic = PeriodicSource::new(&lat, store);
+        let base: Vec<IVec3> = lat.cells().take(max_base_cells).collect();
+        // A rank-style lattice: owned cells plus an SC-deep upper margin,
+        // no wrap — FS offsets step off its low side.
+        let dims = lat.dims();
+        let edge = box_l / dims.x as f64;
+        let mut ghost = GhostLattice::new(
+            Vec3::ZERO,
+            Vec3::splat(edge),
+            dims - IVec3::splat(2),
+            IVec3::ZERO,
+            IVec3::splat(2),
+        );
+        ghost.rebuild(store, store.len());
+        let local = Plain { bins: ghost.bins(), store };
+        let owned: Vec<IVec3> = ghost.owned_region().iter().take(max_base_cells).collect();
+        let mut accepted = 0;
+        for (name, plan) in triplet_plans() {
+            accepted += assert_kernel_matches_reference(
+                &periodic,
+                &plan,
+                rcut,
+                &base,
+                &format!("{name} periodic"),
+            );
+            accepted += assert_kernel_matches_reference(
+                &local,
+                &plan,
+                rcut,
+                &owned,
+                &format!("{name} plain"),
+            );
+        }
+        accepted
+    }
+
+    #[test]
+    fn link_masked_kernel_matches_reference_on_sparse_cells() {
+        // ρ_cell ≈ 1: the triplet lattices of the silica benchmarks.
+        let (store, _) = random_gas(216, 6.0, 11);
+        assert!(check_all_sources(&store, 6.0, 1.0, usize::MAX) > 0);
+        assert!(check_all_sources(&shuffled_ids(&store), 6.0, 1.0, usize::MAX) > 0);
+    }
+
+    #[test]
+    fn link_masked_kernel_matches_reference_on_dense_cells() {
+        // ≥ 32 atoms per cell takes the reference's lane loop; two base
+        // cells keep the recorded sequences small.
+        let (store, _) = random_gas(1000, 3.0, 5);
+        assert!(check_all_sources(&store, 3.0, 1.0, 2) > 0);
+        assert!(check_all_sources(&shuffled_ids(&store), 3.0, 1.0, 2) > 0);
+    }
+
+    #[test]
+    fn link_masked_kernel_matches_reference_on_subdivided_cells() {
+        // Reach-2 plans on half-size cells step two cells at a time, which
+        // the mask does not resolve: those steps must never be skipped.
+        let rcut = 1.0;
+        let (store, bbox) = random_gas(120, 3.5, 3);
+        let mut lat = CellLattice::new(bbox, rcut / 2.0);
+        lat.rebuild(&store);
+        let cells: Vec<IVec3> = lat.cells().step_by(5).collect();
+        let periodic = PeriodicSource::new(&lat, &store);
+        let plain = Plain { bins: lat.bins(), store: &store };
+        for (name, pattern, dedup) in [
+            ("SC", sc_core::shift_collapse_reach(3, 2), Dedup::Collapsed),
+            ("FS", sc_core::generate_fs_reach(3, 2), Dedup::Guarded),
+        ] {
+            let plan = PatternPlan::new(&pattern, dedup);
+            let what = format!("{name} reach-2");
+            assert!(assert_kernel_matches_reference(&periodic, &plan, rcut, &cells, &what) > 0);
+            assert_kernel_matches_reference(&plain, &plan, rcut, &cells, &what);
+        }
+    }
+
+    #[test]
+    fn link_mask_skips_distant_cells_but_keeps_counting_them() {
+        // One atom per cell, each two cutoffs from the next: every mask
+        // word is empty, the kernel accepts nothing, and it still reports
+        // the full search space.
+        let bbox = sc_geom::SimulationBox::cubic(6.0);
+        let mut store = AtomStore::single_species();
+        for (id, x) in [(0u64, 0.5), (1, 2.5), (2, 4.5)] {
+            store.push(id, Species::DEFAULT, Vec3::new(x, 0.5, 0.5), Vec3::ZERO);
+        }
+        let mut lat = CellLattice::new(bbox, 2.0);
+        lat.rebuild(&store);
+        let src = PeriodicSource::new(&lat, &store);
+        let mut links = LinkMask::default();
+        links.rebuild(&src, 1.0);
+        assert!(links.words.iter().all(|&w| w == FAR_LINK), "no in-cutoff pair anywhere");
+        let plan = PatternPlan::new(&shift_collapse(3), Dedup::Collapsed);
+        let mut calls = 0;
+        let stats =
+            visit_triplets_in_cells(&src, &links, &plan, 1.0, lat.cells(), |_, _, _, _, _| {
+                calls += 1
+            });
+        assert_eq!(calls, 0);
+        assert_eq!(stats.accepted, 0);
+        let mut reference = VisitStats::default();
+        for q in lat.cells() {
+            reference.merge(grouped_triplets_reference(
+                &src,
+                &plan,
+                1.0,
+                q,
+                &mut |_, _, _, _, _| {},
+            ));
+        }
+        assert_eq!(stats.candidates, reference.candidates);
+        assert!(stats.candidates > 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn link_masked_kernel_matches_reference_on_random_gases(
+            n in 10usize..160,
+            seed in 0u64..1_000,
+            rcut in 0.8f64..1.6,
+            shuffle in 0u8..2,
+        ) {
+            let box_l = 5.0;
+            let (store, _) = random_gas(n, box_l, seed);
+            let store = if shuffle == 1 { shuffled_ids(&store) } else { store };
+            check_all_sources(&store, box_l, rcut, usize::MAX);
+        }
     }
 }

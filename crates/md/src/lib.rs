@@ -64,7 +64,7 @@ pub use integrate::{berendsen_rescale, velocity_verlet_step};
 pub use io::{read_xyz, write_xyz, XyzError};
 pub use methods::Method;
 pub use par::{AccumulatorPool, ForceAccumulator, LaneSlots, ThreadPool};
-pub use sim::{RuntimeConfig, Simulation, SimulationBuilder};
+pub use sim::{RuntimeConfig, Simulation, SimulationBuilder, TermPotential};
 pub use stats::{EnergyBreakdown, TupleCounts};
 pub use supervisor::{Recoverable, RecoveryStats, Supervisor, SupervisorConfig, SupervisorError};
 pub use telemetry::{Observer, Telemetry};

@@ -451,20 +451,27 @@ struct LastComputation {
 }
 
 /// The simulation's parallel force-evaluation state: the persistent worker
-/// pool, the accumulator pool, and a reusable staging vector holding the
-/// per-lane accumulators of the kernel invocation in flight. All capacity is
-/// established on first use, so steady-state steps allocate nothing.
+/// pool, the accumulator pool, a reusable staging vector holding the
+/// per-lane accumulators of the kernel invocation in flight, and the
+/// triplet lattice's link mask. All capacity is established on first use,
+/// so steady-state steps allocate no force scratch.
 struct ParEngine {
     pool: ThreadPool,
     accs: AccumulatorPool,
     staging: Vec<ForceAccumulator>,
+    links: engine::LinkMask,
 }
 
 impl ParEngine {
     fn new(threads: usize) -> Self {
         let pool = if threads == 0 { ThreadPool::auto() } else { ThreadPool::new(threads) };
         let staging = Vec::with_capacity(pool.lanes());
-        ParEngine { pool, accs: AccumulatorPool::new(), staging }
+        ParEngine {
+            pool,
+            accs: AccumulatorPool::new(),
+            staging,
+            links: engine::LinkMask::default(),
+        }
     }
 }
 
@@ -1140,17 +1147,30 @@ impl crate::supervisor::Recoverable for Simulation {
     }
 }
 
-/// One n-body potential term, erased to a shared reference so the unified
+/// One n-body potential term, erased to a shared reference so a force
 /// kernel can be monomorphised once and dispatch per term.
 #[derive(Clone, Copy)]
-enum TermPotential<'a> {
+pub enum TermPotential<'a> {
+    /// A pair term.
     Pair(&'a dyn PairPotential),
+    /// A triplet term.
     Triplet(&'a dyn TripletPotential),
+    /// A quadruplet term.
     Quadruplet(&'a dyn QuadrupletPotential),
 }
 
 impl TermPotential<'_> {
-    fn cutoff(&self) -> f64 {
+    /// The tuple order n.
+    pub fn n(&self) -> usize {
+        match self {
+            TermPotential::Pair(_) => 2,
+            TermPotential::Triplet(_) => 3,
+            TermPotential::Quadruplet(_) => 4,
+        }
+    }
+
+    /// The term's cutoff.
+    pub fn cutoff(&self) -> f64 {
         match self {
             TermPotential::Pair(p) => p.cutoff(),
             TermPotential::Triplet(t) => t.cutoff(),
@@ -1173,12 +1193,13 @@ fn decode_cell(dims: IVec3, c: usize) -> IVec3 {
 ///
 /// The cell range is split into one contiguous span per pool lane; each lane
 /// draws a [`ForceAccumulator`] from the simulation's pool and sweeps its
-/// span with the per-cell UCP visitors. Afterwards the driving thread merges
-/// the dirty slots of every accumulator into the store's force array in lane
-/// order, so results are deterministic for a fixed lane count. Steady-state
-/// invocations perform no heap allocation: the accumulators, the staging
-/// vector, and the pool's dispatch are all reused (see
-/// [`Simulation::scratch_allocation_events`]).
+/// span with the per-cell UCP visitors (triplets: the link-masked sweep
+/// kernel, its mask built once before the lanes fan out). Afterwards the
+/// driving thread merges the dirty slots of every accumulator into the
+/// store's force array in lane order, so results are deterministic for a
+/// fixed lane count. Steady-state invocations allocate no force scratch:
+/// the accumulators, the staging vector, the link mask and the pool's
+/// dispatch are all reused (see [`Simulation::scratch_allocation_events`]).
 fn par_term_forces(
     eng: &mut ParEngine,
     lat: &CellLattice,
@@ -1193,12 +1214,19 @@ fn par_term_forces(
     let ncells = (dims.x as usize) * (dims.y as usize) * (dims.z as usize);
     let lanes = eng.pool.lanes().min(ncells.max(1));
     let rcut = term.cutoff();
+    if let TermPotential::Triplet(_) = term {
+        // Built once before the lanes fan out; every lane reads it.
+        let t_links = Instant::now();
+        eng.links.rebuild(&engine::PeriodicSource::new(lat, store), rcut);
+        phases.add(Phase::Enumerate, t_links.elapsed().as_secs_f64());
+    }
     debug_assert!(eng.staging.is_empty());
     for _ in 0..lanes {
         eng.staging.push(eng.accs.acquire(n));
     }
     {
         let store_ref: &AtomStore = store;
+        let links = &eng.links;
         let species = store_ref.species();
         let slots = LaneSlots::new(eng.staging.as_mut_ptr());
         let job = move |t: usize| {
@@ -1239,39 +1267,35 @@ fn par_term_forces(
                     }
                 }
                 TermPotential::Triplet(pot) => {
-                    for c in lo..hi {
-                        let q = decode_cell(dims, c);
-                        let s = engine::visit_triplets_in_cell(
-                            lat,
-                            store_ref,
-                            plan,
-                            rcut,
-                            q,
-                            |i0, i1, i2, d01, d12| {
-                                let (s0, s1, s2) = (
-                                    species[i0 as usize],
-                                    species[i1 as usize],
-                                    species[i2 as usize],
-                                );
-                                if !pot.applies(s0, s1, s2) {
-                                    return;
-                                }
-                                let t_eval = detailed.then(Instant::now);
-                                let (u, f0, f1, f2) = pot.eval(s0, s1, s2, -d01, d12);
-                                acc.energy += u;
-                                // Tuple virial about the vertex:
-                                // Σ_k f_k·(r_k − r1).
-                                acc.virial += f0.dot(-d01) + f2.dot(d12);
-                                acc.add(i0, f0);
-                                acc.add(i1, f1);
-                                acc.add(i2, f2);
-                                if let Some(t0) = t_eval {
-                                    acc.eval_s += t0.elapsed().as_secs_f64();
-                                }
-                            },
-                        );
-                        acc.stats.merge(s);
-                    }
+                    let cells = (lo..hi).map(|c| decode_cell(dims, c));
+                    let src = engine::PeriodicSource::new(lat, store_ref);
+                    let s = engine::visit_triplets_in_cells(
+                        &src,
+                        links,
+                        plan,
+                        rcut,
+                        cells,
+                        |i0, i1, i2, d01, d12| {
+                            let (s0, s1, s2) =
+                                (species[i0 as usize], species[i1 as usize], species[i2 as usize]);
+                            if !pot.applies(s0, s1, s2) {
+                                return;
+                            }
+                            let t_eval = detailed.then(Instant::now);
+                            let (u, f0, f1, f2) = pot.eval(s0, s1, s2, -d01, d12);
+                            acc.energy += u;
+                            // Tuple virial about the vertex:
+                            // Σ_k f_k·(r_k − r1).
+                            acc.virial += f0.dot(-d01) + f2.dot(d12);
+                            acc.add(i0, f0);
+                            acc.add(i1, f1);
+                            acc.add(i2, f2);
+                            if let Some(t0) = t_eval {
+                                acc.eval_s += t0.elapsed().as_secs_f64();
+                            }
+                        },
+                    );
+                    acc.stats.merge(s);
                 }
                 TermPotential::Quadruplet(pot) => {
                     for c in lo..hi {

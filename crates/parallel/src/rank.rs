@@ -5,11 +5,11 @@ use crate::comm::{CommCounters, GhostPlan};
 use crate::error::RuntimeError;
 use crate::grid::RankGrid;
 use crate::msg::{AtomMsg, ForceMsg, GhostMsg};
-use sc_cell::{AtomStore, GhostLattice, Species};
+use sc_cell::{AtomStore, CellBins, GhostLattice, Species};
 use sc_geom::{IVec3, Vec3};
-use sc_md::engine::{self, Dedup, PatternPlan, TupleSource, VisitStats};
+use sc_md::engine::{self, Dedup, LinkMask, PatternPlan, TupleSource, VisitStats};
 use sc_md::methods::NeighborList;
-use sc_md::{EnergyBreakdown, ForceAccumulator, Method, TupleCounts};
+use sc_md::{EnergyBreakdown, ForceAccumulator, Method, TermPotential, TupleCounts};
 use sc_obs::{Phase, PhaseBreakdown};
 use sc_potential::{PairPotential, QuadrupletPotential, TripletPotential};
 use std::collections::HashMap;
@@ -34,19 +34,17 @@ pub struct ForceField {
 }
 
 impl ForceField {
+    /// The active terms in tuple order, each resolved to its potential.
+    pub fn potentials(&self) -> impl Iterator<Item = TermPotential<'_>> {
+        let pair = self.pair.as_deref().map(TermPotential::Pair);
+        let triplet = self.triplet.as_deref().map(TermPotential::Triplet);
+        let quadruplet = self.quadruplet.as_deref().map(TermPotential::Quadruplet);
+        pair.into_iter().chain(triplet).chain(quadruplet)
+    }
+
     /// Active `(n, cutoff)` pairs.
     pub fn terms(&self) -> Vec<(usize, f64)> {
-        let mut t = vec![];
-        if let Some(p) = &self.pair {
-            t.push((2, p.cutoff()));
-        }
-        if let Some(p) = &self.triplet {
-            t.push((3, p.cutoff()));
-        }
-        if let Some(p) = &self.quadruplet {
-            t.push((4, p.cutoff()));
-        }
-        t
+        self.potentials().map(|t| (t.n(), t.cutoff())).collect()
     }
 }
 
@@ -56,15 +54,42 @@ impl ForceField {
 /// set. Sweeps always visit interior cells first, then frontier cells, so
 /// the overlapped two-pass computation is bitwise-identical to the
 /// single-pass one.
+///
+/// Term lattices are built from [`ForceField::potentials`] in order, so
+/// zipping that iterator with a rank's lattices pairs each lattice with
+/// its typed potential.
 struct TermLattice {
-    n: usize,
-    rcut: f64,
     plan: PatternPlan,
     lat: GhostLattice,
+    /// The triplet term's link mask (empty for other orders). The interior
+    /// pass builds it from owned atoms alone; interior base cells read only
+    /// bits between owned cells, which the post-exchange rebuild repeats.
+    links: LinkMask,
     /// Owned cells whose pattern sweep stays inside the owned region.
     interior: Vec<IVec3>,
     /// Owned cells whose sweep may read ghost cells.
     frontier: Vec<IVec3>,
+}
+
+impl TermLattice {
+    /// Re-bins the lattice against `store` (timed as `Bin`) and, for a
+    /// triplet term, rebuilds its link mask (timed as `Enumerate`).
+    fn rebuild(
+        &mut self,
+        pot: TermPotential<'_>,
+        store: &AtomStore,
+        owned: usize,
+        phases: &mut PhaseBreakdown,
+    ) {
+        let t_bin = Instant::now();
+        self.lat.rebuild(store, owned);
+        phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
+        if let TermPotential::Triplet(t) = pot {
+            let t_links = Instant::now();
+            self.links.rebuild(&LocalSource::new(&self.lat, store), t.cutoff());
+            phases.add(Phase::Enumerate, t_links.elapsed().as_secs_f64());
+        }
+    }
 }
 
 /// The banked result of an interior-cell pass, merged into the full result
@@ -118,8 +143,8 @@ impl<'a> LocalSource<'a> {
 
 impl TupleSource for LocalSource<'_> {
     #[inline]
-    fn atoms_in(&self, q: IVec3) -> &[u32] {
-        self.lat.cell_atoms_or_empty(q)
+    fn bins(&self) -> CellBins<'_> {
+        self.lat.bins()
     }
     #[inline]
     fn pos(&self, i: u32) -> Vec3 {
@@ -186,7 +211,8 @@ impl RankState {
         let sub = grid.rank_box_lengths_of(rank);
         let mut terms = Vec::new();
         let mut hybrid_pair_lat = None;
-        for (n, rcut) in ff.terms() {
+        for pot in ff.potentials() {
+            let (n, rcut) = (pot.n(), pot.cutoff());
             // Local cells: the largest grid with edge ≥ rcut/k.
             let edge = rcut / k as f64;
             let ext = IVec3::new(
@@ -237,10 +263,9 @@ impl RankState {
                 }
             }
             terms.push(TermLattice {
-                n,
-                rcut,
                 plan: PatternPlan::new(&pattern, dedup),
                 lat: GhostLattice::new(origin, cell, ext, lo, hi),
+                links: LinkMask::default(),
                 interior,
                 frontier,
             });
@@ -555,18 +580,13 @@ impl RankState {
     pub fn run_interior(task: &mut InteriorTask, rank: &RankState, ff: &ForceField) {
         let species = rank.store.species().to_vec();
         let p = &mut task.partial;
-        for term in &mut task.terms {
-            let t_bin = Instant::now();
-            term.lat.rebuild(&rank.store, rank.owned);
-            p.phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-            let src = LocalSource::new(&term.lat, &rank.store);
+        for (pot, term) in ff.potentials().zip(&mut task.terms) {
+            term.rebuild(pot, &rank.store, rank.owned, &mut p.phases);
             let t_enum = Instant::now();
             sweep_cells(
-                ff,
-                term.n,
-                &term.plan,
-                term.rcut,
-                &src,
+                pot,
+                term,
+                &rank.store,
                 &species,
                 &term.interior,
                 &mut task.scratch,
@@ -646,60 +666,22 @@ impl RankState {
         with_interior: bool,
     ) {
         let species = self.store.species().to_vec();
-        // Rebuild every term lattice first (split borrow: take the lattice
-        // out, rebuild against the store, put it back), then sweep *all*
-        // interiors before *any* frontier. The banked overlap path runs the
-        // interior sweeps of every term up front, so the fresh path must
-        // accumulate in the same term order or multi-term force sums (pair +
-        // triplet on the same atom) drift by an ulp.
-        for ti in 0..self.terms.len() {
-            let mut lat = std::mem::replace(
-                &mut self.terms[ti].lat,
-                GhostLattice::new(
-                    Vec3::ZERO,
-                    Vec3::splat(1.0),
-                    IVec3::splat(1),
-                    IVec3::ZERO,
-                    IVec3::ZERO,
-                ),
-            );
-            let t_bin = Instant::now();
-            lat.rebuild(&self.store, self.owned);
-            phases.add(Phase::Bin, t_bin.elapsed().as_secs_f64());
-            self.terms[ti].lat = lat;
+        // Rebuild every term lattice first, then sweep *all* interiors
+        // before *any* frontier. The banked overlap path runs the interior
+        // sweeps of every term up front, so the fresh path must accumulate
+        // in the same term order or multi-term force sums (pair + triplet
+        // on the same atom) drift by an ulp.
+        for (pot, term) in ff.potentials().zip(&mut self.terms) {
+            term.rebuild(pot, &self.store, self.owned, phases);
         }
         let t_enum = Instant::now();
         if with_interior {
-            for term in &self.terms {
-                let src = LocalSource::new(&term.lat, &self.store);
-                sweep_cells(
-                    ff,
-                    term.n,
-                    &term.plan,
-                    term.rcut,
-                    &src,
-                    &species,
-                    &term.interior,
-                    acc,
-                    energy,
-                    tuples,
-                );
+            for (pot, term) in ff.potentials().zip(&self.terms) {
+                sweep_cells(pot, term, &self.store, &species, &term.interior, acc, energy, tuples);
             }
         }
-        for term in &self.terms {
-            let src = LocalSource::new(&term.lat, &self.store);
-            sweep_cells(
-                ff,
-                term.n,
-                &term.plan,
-                term.rcut,
-                &src,
-                &species,
-                &term.frontier,
-                acc,
-                energy,
-                tuples,
-            );
+        for (pot, term) in ff.potentials().zip(&self.terms) {
+            sweep_cells(pot, term, &self.store, &species, &term.frontier, acc, energy, tuples);
         }
         phases.add(Phase::Enumerate, t_enum.elapsed().as_secs_f64());
     }
@@ -874,24 +856,23 @@ impl RankState {
 /// bitwise-identical to any other split with the same cell order.
 #[allow(clippy::too_many_arguments)]
 fn sweep_cells(
-    ff: &ForceField,
-    n: usize,
-    plan: &PatternPlan,
-    rcut: f64,
-    src: &LocalSource<'_>,
+    pot: TermPotential<'_>,
+    term: &TermLattice,
+    store: &AtomStore,
     species: &[Species],
     cells: &[IVec3],
     acc: &mut ForceAccumulator,
     energy: &mut EnergyBreakdown,
     tuples: &mut TupleCounts,
 ) {
+    let src = LocalSource::new(&term.lat, store);
+    let (plan, rcut) = (&term.plan, pot.cutoff());
     let mut stats = VisitStats::default();
-    match n {
-        2 => {
-            let pot = ff.pair.as_deref().expect("pair term");
+    match pot {
+        TermPotential::Pair(pot) => {
             let mut e = 0.0;
             for q in cells {
-                stats.merge(engine::visit_pairs_in_cell_src(src, plan, rcut, *q, |i, j, d, r| {
+                stats.merge(engine::visit_pairs_in_cell_src(&src, plan, rcut, *q, |i, j, d, r| {
                     let (si, sj) = (species[i as usize], species[j as usize]);
                     if !pot.applies(si, sj) {
                         return;
@@ -906,38 +887,35 @@ fn sweep_cells(
             energy.pair += e;
             tuples.pair.merge(stats);
         }
-        3 => {
-            let pot = ff.triplet.as_deref().expect("triplet term");
+        TermPotential::Triplet(pot) => {
             let mut e = 0.0;
-            for q in cells {
-                stats.merge(engine::visit_triplets_in_cell_src(
-                    src,
-                    plan,
-                    rcut,
-                    *q,
-                    |i0, i1, i2, d01, d12| {
-                        let (s0, s1, s2) =
-                            (species[i0 as usize], species[i1 as usize], species[i2 as usize]);
-                        if !pot.applies(s0, s1, s2) {
-                            return;
-                        }
-                        let (u, f0, f1, f2) = pot.eval(s0, s1, s2, -d01, d12);
-                        e += u;
-                        acc.add(i0, f0);
-                        acc.add(i1, f1);
-                        acc.add(i2, f2);
-                    },
-                ));
-            }
+            stats = engine::visit_triplets_in_cells(
+                &src,
+                &term.links,
+                plan,
+                rcut,
+                cells.iter().copied(),
+                |i0, i1, i2, d01, d12| {
+                    let (s0, s1, s2) =
+                        (species[i0 as usize], species[i1 as usize], species[i2 as usize]);
+                    if !pot.applies(s0, s1, s2) {
+                        return;
+                    }
+                    let (u, f0, f1, f2) = pot.eval(s0, s1, s2, -d01, d12);
+                    e += u;
+                    acc.add(i0, f0);
+                    acc.add(i1, f1);
+                    acc.add(i2, f2);
+                },
+            );
             energy.triplet += e;
             tuples.triplet.merge(stats);
         }
-        4 => {
-            let pot = ff.quadruplet.as_deref().expect("quadruplet term");
+        TermPotential::Quadruplet(pot) => {
             let mut e = 0.0;
             for q in cells {
                 stats.merge(engine::visit_quadruplets_in_cell_src(
-                    src,
+                    &src,
                     plan,
                     rcut,
                     *q,
@@ -962,7 +940,6 @@ fn sweep_cells(
             energy.quadruplet += e;
             tuples.quadruplet.merge(stats);
         }
-        n => unreachable!("unsupported tuple order {n}"),
     }
 }
 
