@@ -18,10 +18,10 @@ use std::time::Instant;
 /// Runtime/observability configuration of a [`Simulation`], passed to
 /// [`SimulationBuilder::build`] via [`SimulationBuilder::runtime`].
 ///
-/// Collapses the former scattered builder knobs (`threads`,
-/// `detailed_timing`, `verlet_skin`) and adds the metrics [`Registry`] the
-/// engine reports into. Scalar fields are validated by `build()`; a
-/// rejected value comes back as [`BuildError::Config`] naming the field.
+/// Holds the engine's runtime knobs (lanes, timing detail, Verlet skin,
+/// re-sort cadence) and the metrics [`Registry`] the engine reports into.
+/// Scalar fields are validated by `build()`; a rejected value comes back as
+/// [`BuildError::Config`] naming the field.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Parallel force-evaluation lanes. `0` (default) sizes the pool to the
@@ -135,34 +135,11 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the full runtime/observability configuration in one call —
-    /// the preferred way to configure threads, timing detail, the Verlet
-    /// skin, and the metrics registry. Scalars are validated by
-    /// [`SimulationBuilder::build`].
+    /// Sets the full runtime/observability configuration in one call:
+    /// threads, timing detail, the Verlet skin, and the metrics registry.
+    /// Scalars are validated by [`SimulationBuilder::build`].
     pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = runtime;
-        self
-    }
-
-    /// Legacy shim for [`RuntimeConfig::verlet_skin`] — prefer
-    /// [`SimulationBuilder::runtime`]. Validation happens in `build()`
-    /// ([`BuildError::Config`] with `field = "verlet_skin"`).
-    pub fn verlet_skin(mut self, skin: f64) -> Self {
-        self.runtime.verlet_skin = skin;
-        self
-    }
-
-    /// Legacy shim for [`RuntimeConfig::threads`] — prefer
-    /// [`SimulationBuilder::runtime`].
-    pub fn threads(mut self, n: usize) -> Self {
-        self.runtime.threads = n;
-        self
-    }
-
-    /// Legacy shim for [`RuntimeConfig::detailed_timing`] — prefer
-    /// [`SimulationBuilder::runtime`].
-    pub fn detailed_timing(mut self, on: bool) -> Self {
-        self.runtime.detailed_timing = on;
         self
     }
 
@@ -1721,7 +1698,7 @@ mod tests {
                 .pair_potential(Box::new(v.pair.clone()))
                 .triplet_potential(Box::new(v.triplet.clone()))
                 .method(Method::Hybrid)
-                .verlet_skin(skin)
+                .runtime(RuntimeConfig { verlet_skin: skin, ..RuntimeConfig::default() })
                 .timestep(0.0005)
                 .build()
                 .unwrap()
@@ -1982,7 +1959,7 @@ mod tests {
             Simulation::builder(store, bbox)
                 .pair_potential(Box::new(LennardJones::reduced(2.5)))
                 .timestep(dt)
-                .verlet_skin(skin)
+                .runtime(RuntimeConfig { verlet_skin: skin, ..RuntimeConfig::default() })
                 .build()
         };
         match build(-0.5, 0.0).map(|_| ()) {

@@ -1,31 +1,38 @@
-//! Bulk-synchronous executor: deterministic reference implementation of the
-//! distributed MD step, with validated message delivery, scriptable fault
-//! injection, checkpoint/rollback support, and the communication-optimal
-//! schedule from [`crate::transport`]: per-neighbor message aggregation,
-//! compute/communication overlap over interior cells, and adaptive load
-//! rebalancing of the rank grid.
+//! Bulk-synchronous executor: the deterministic reference driver of the
+//! distributed MD step. Every rank runs each phase of the shared exchange
+//! schedule ([`crate::schedule`]) in lockstep over the [`BspWire`], which
+//! delivers each unit the moment it is posted — in a fixed sender-major
+//! order, through the scriptable [`FaultPlan`], verified and retried — so
+//! fault scripts replay exactly. The driver keeps what is BSP-specific:
+//! the executor wall-clock phase timings, the pool fan-out of per-rank
+//! compute (with the ghost import run as one more pool task under
+//! compute/communication overlap), adaptive rebalancing of the rank grid,
+//! and checkpoint restore including re-decomposition onto survivors.
 
 use crate::comm::GhostPlan;
 use crate::error::{RuntimeError, SetupError};
 use crate::fault::{Delivery, FaultPlan};
 use crate::grid::RankGrid;
-use crate::health::{HealthConfig, HealthCounters, HealthTracker};
-use crate::msg::{Channel, GhostMsg, Message, Payload};
+use crate::health::HealthTracker;
+use crate::msg::{Channel, Message};
 use crate::rank::{
-    best_grid_for, halo_width_for, validate_decomposition, ForceField, InteriorTask, RankState,
-    DEFAULT_RESORT_EVERY,
+    best_grid_for, decompose, halo_width_for, validate_decomposition, ForceField, InteriorTask,
+    RankState, DEFAULT_RESORT_EVERY,
 };
-use crate::transport::{self, CommConfig, Slot};
+use crate::schedule::{
+    absorb_staged, gather_store, slot_channel, sum_results, trace_compute, DeliveryCheck,
+    DistMetrics, Schedule, StagedBand, Wire,
+};
+use crate::transport::CommConfig;
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::supervisor::Recoverable;
 use sc_md::{EnergyBreakdown, LaneSlots, Observer, Telemetry, ThreadPool, TupleCounts};
 use sc_obs::trace::EventKind;
-use sc_obs::{
-    CommCounters, Counter, Histogram, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink,
-    Tracer,
-};
+use sc_obs::{CommCounters, ImbalanceReport, Phase, PhaseBreakdown, Registry, TraceSink, Tracer};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Retries after a failed delivery before escalating (so each hop gets
 /// `1 + MAX_RETRIES` attempts). Two retries cover every single-fault
@@ -33,265 +40,115 @@ use sc_obs::{
 /// stall) while keeping worst-case latency bounded.
 const MAX_RETRIES: u32 = 2;
 
-/// Verifies every section of a batched frame against its own stamp, so
-/// in-frame corruption is detected — and retried at frame granularity —
-/// before the receiver unpacks anything. Bare (un-aggregated) messages have
-/// no inner sections and pass through.
-fn verify_sections(m: &Message, to: usize, epoch: u64) -> Result<(), RuntimeError> {
-    if let Payload::Batch(secs) = &m.payload {
-        for s in secs {
-            s.verify(to, epoch, s.channel)?;
-        }
-    }
-    Ok(())
-}
-
-/// Delivers one wire unit (a bare message or an aggregated frame) from
-/// `from` to `to` through the fault plan, verifying the outer stamp — and
-/// each section's stamp — on arrival and retrying (the sender re-sends its
-/// buffered copy) up to [`MAX_RETRIES`] times. Detected faults and retries
-/// are recorded in the sender's `stats`; every attempt's outcome also feeds
-/// the `health` watchdog, whose transitions are emitted as
-/// [`EventKind::Health`] events on `sink`. A sender the watchdog has
-/// declared dead escalates as [`RuntimeError::RankDead`] instead of the
-/// per-delivery fault — the signal for the supervisor to re-decompose
-/// rather than roll back.
-#[allow(clippy::too_many_arguments)]
-fn deliver_validated(
-    fault: &mut FaultPlan,
-    health: &mut HealthTracker,
-    sink: &TraceSink,
-    stats: &mut CommCounters,
-    epoch: u64,
-    from: usize,
-    to: usize,
-    channel: Channel,
-    msg: Message,
-) -> Result<Message, RuntimeError> {
-    let class = channel.trace_class();
-    // Inert plan: the delivery cannot be dropped, delayed, or corrupted, so
-    // skip the retransmission copy and hand the message straight across.
-    // Verification and watchdog feeding stay identical to the slow path.
-    if fault.is_inert() {
-        msg.verify(to, epoch, channel)?;
-        verify_sections(&msg, to, epoch)?;
-        if let Some(state) = health.record_success(from, class, epoch) {
-            sink.instant(epoch, EventKind::Health { peer: from as u32, state: state.code() });
-        }
-        if health.is_dead(from) {
-            return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-        }
-        return Ok(msg);
-    }
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        if attempts > 1 {
-            stats.retries += 1;
-        }
-        // The transit copy may be corrupted; the sender keeps the original
-        // for retransmission.
-        let outcome = fault.transmit(epoch, from, msg.clone());
-        let err = match outcome {
-            Delivery::Deliver(m) => {
-                match m.verify(to, epoch, channel).and_then(|()| verify_sections(&m, to, epoch)) {
-                    Ok(()) => {
-                        if let Some(state) = health.record_success(from, class, epoch) {
-                            sink.instant(
-                                epoch,
-                                EventKind::Health { peer: from as u32, state: state.code() },
-                            );
-                        }
-                        // A flapping link can trip the circuit breaker on the
-                        // very delivery that succeeded; death still wins.
-                        if health.is_dead(from) {
-                            return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-                        }
-                        return Ok(m);
-                    }
-                    Err(e) => e,
-                }
-            }
-            Delivery::Lost { stalled } => {
-                if stalled {
-                    RuntimeError::RankStalled { rank: from, epoch, attempts }
-                } else {
-                    RuntimeError::MissingHop { rank: to, channel, epoch, attempts }
-                }
-            }
-        };
-        stats.faults_detected += 1;
-        if let Some(state) = health.record_failure(from, class, epoch) {
-            sink.instant(epoch, EventKind::Health { peer: from as u32, state: state.code() });
-        }
-        if attempts > MAX_RETRIES {
-            if health.is_dead(from) {
-                return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-            }
-            return Err(err);
-        }
-    }
-}
-
-/// Runs one merged exchange phase on the wire: frames every rank's stamped
-/// sections per destination ([`transport::frame_sections`]), delivers each
-/// frame through the fault plan with validation and retry, and hands every
-/// receiver its payloads in canonical slot order
-/// ([`transport::match_sections`]).
+/// The bulk-synchronous [`Wire`]: every unit is delivered the moment it is
+/// posted — through the fault plan, checked ([`DeliveryCheck`]) and
+/// retried — and buffered for its receiver until the phase is collected.
 ///
-/// Counter discipline (bytes are counted once): `record_send` and the trace
-/// Send/Recv events fire **once per wire unit** with the frame's total
-/// payload bytes and its section count — never again per section — so
-/// `comm.messages`, `comm.bytes`, and the `comm.step_bytes` histogram see
-/// aggregated traffic exactly once.
-#[allow(clippy::too_many_arguments)]
-fn wire_phase(
-    aggregation: bool,
-    phase: u64,
-    epoch: u64,
-    fault: &mut FaultPlan,
-    health: &mut HealthTracker,
-    exec_sink: &TraceSink,
-    tsinks: &[TraceSink],
-    stats: &mut [CommCounters],
-    sends: Vec<Vec<(usize, Message)>>,
-    recvs: &[Vec<Slot>],
-) -> Result<Vec<Vec<Payload>>, RuntimeError> {
-    let nranks = recvs.len();
-    let mut units: Vec<Vec<(usize, Message)>> = vec![Vec::new(); nranks];
-    for (from, sections) in sends.into_iter().enumerate() {
-        for (to, unit) in transport::frame_sections(aggregation, phase, epoch, sections) {
-            let bytes = unit.payload.wire_bytes();
-            let nsec = unit.payload.section_count() as u16;
-            let class = unit.channel.trace_class();
-            stats[from].record_send(to, bytes);
-            tsinks[from].send(epoch, class, to as u32, bytes, nsec, epoch);
-            // The k-th unit from `from` fills the k-th canonical receive
-            // slot `to` expects from that source (k > 0 only without
-            // aggregation).
-            let already = units[to].iter().filter(|(f, _)| *f == from).count();
-            let expected = recvs[to]
-                .iter()
-                .filter(|s| s.peer == from)
-                .nth(already)
-                .map(|s| s.channel)
-                .unwrap_or(unit.channel);
-            let got = deliver_validated(
-                fault,
-                health,
-                exec_sink,
-                &mut stats[from],
-                epoch,
-                from,
-                to,
-                expected,
-                unit,
-            )?;
-            tsinks[to].recv(epoch, class, from as u32, bytes, nsec, epoch);
-            units[to].push((from, got));
+/// Delivery is sender-major: ranks in order, each rank's units in frame
+/// order. Scripted faults and storms fire on the first matching attempt,
+/// so this fixed order is what makes a fault script reproducible.
+struct BspWire {
+    fault: FaultPlan,
+    /// Traces health transitions on the executor row.
+    check: DeliveryCheck,
+    /// Per receiving rank: the current phase's delivered `(from, unit)`s.
+    buffers: Vec<Vec<(usize, Message)>>,
+}
+
+impl BspWire {
+    /// Empties the phase buffers (a failed step can leave units behind)
+    /// and sizes them for `nranks` receivers.
+    fn reset(&mut self, nranks: usize) {
+        self.buffers.resize_with(nranks, Vec::new);
+        for b in &mut self.buffers {
+            b.clear();
         }
     }
-    let mut out = Vec::with_capacity(nranks);
-    for (rank, u) in units.into_iter().enumerate() {
-        out.push(transport::match_sections(rank, epoch, &recvs[rank], u)?);
-    }
-    Ok(out)
-}
 
-/// The result of a staged (overlapped) ghost exchange: everything the
-/// executor needs to absorb once the interior compute pass joins.
-struct StagedGhosts {
-    /// Per destination rank: `(hop, from, ghosts)` in canonical absorb
-    /// order (phase order, then ascending hop within a phase).
-    inbox: Vec<Vec<(usize, usize, Vec<GhostMsg>)>>,
-    /// Side communication counters per source rank, merged into the rank
-    /// stats after the join.
-    stats: Vec<CommCounters>,
-    /// The executor phase counter after the ghost phases.
-    phase: u64,
-    /// The exchange thread's own wall-clock seconds.
-    elapsed: f64,
-}
-
-/// The full forwarded-routing ghost exchange run on a side thread while the
-/// main thread computes interior tuples: identical wire schedule, framing,
-/// validation, and fault handling to the in-line exchange, but received
-/// bands are *staged* instead of absorbed (the rank stores are concurrently
-/// read by the interior pass). Forwarding across axes reads earlier-phase
-/// bands from the staging inbox ([`RankState::collect_ghost_band_staged`]),
-/// so the staged exchange ships exactly the bytes the in-line one does.
-#[allow(clippy::too_many_arguments)]
-fn staged_exchange(
-    grid: &RankGrid,
-    plan: &GhostPlan,
-    ranks: &[RankState],
-    fault: &mut FaultPlan,
-    health: &mut HealthTracker,
-    exec_sink: &TraceSink,
-    tsinks: &[TraceSink],
-    aggregation: bool,
-    epoch: u64,
-    mut phase: u64,
-) -> Result<StagedGhosts, RuntimeError> {
-    let t0 = std::time::Instant::now();
-    let nranks = ranks.len();
-    let mut inbox: Vec<Vec<(usize, usize, Vec<GhostMsg>)>> = vec![Vec::new(); nranks];
-    let mut stats = vec![CommCounters::default(); nranks];
-    for hops in transport::ghost_phase_groups(plan) {
-        phase += 1;
-        let mut sends = Vec::with_capacity(nranks);
-        let mut recvs = Vec::with_capacity(nranks);
-        for (r, rank) in ranks.iter().enumerate() {
-            let (slots, rx) = transport::ghost_phase(grid, plan, r, &hops);
-            let mut secs = Vec::with_capacity(slots.len());
-            for (slot, &hop) in slots.iter().zip(&hops) {
-                let (axis, recv_dir) = plan.hops[hop];
-                let band = rank.collect_ghost_band_staged(plan, axis, recv_dir, &inbox[r]);
-                secs.push((
-                    slot.peer,
-                    Message::stamped(phase, epoch, slot.channel, Payload::Ghosts(band)),
-                ));
+    /// Delivers one unit from `from` to `to` through the fault plan,
+    /// retrying (the sender re-sends its buffered copy) up to
+    /// [`MAX_RETRIES`] times. Detected faults and retries are charged to
+    /// the sender's `stats`.
+    fn deliver(
+        &mut self,
+        epoch: u64,
+        (from, to): (usize, usize),
+        channel: Channel,
+        msg: Message,
+        stats: &mut CommCounters,
+    ) -> Result<Message, RuntimeError> {
+        // Inert plan: the delivery cannot be dropped, delayed, or corrupted,
+        // so skip the retransmission copy and hand the message straight
+        // across.
+        if self.fault.is_inert() {
+            self.check.check(Ok(&msg), (from, to), channel, epoch, true)?;
+            return Ok(msg);
+        }
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            if attempts > 1 {
+                stats.retries += 1;
             }
-            sends.push(secs);
-            recvs.push(rx);
-        }
-        let delivered = wire_phase(
-            aggregation,
-            phase,
-            epoch,
-            fault,
-            health,
-            exec_sink,
-            tsinks,
-            &mut stats,
-            sends,
-            &recvs,
-        )?;
-        for (to, payloads) in delivered.into_iter().enumerate() {
-            for ((slot, &hop), payload) in recvs[to].iter().zip(&hops).zip(payloads) {
-                let Payload::Ghosts(ghosts) = payload else {
-                    return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                };
-                inbox[to].push((hop, slot.peer, ghosts));
+            let last = attempts > MAX_RETRIES;
+            // The transit copy may be corrupted; the sender keeps the
+            // original for retransmission.
+            let got = match self.fault.transmit(epoch, from, msg.clone()) {
+                Delivery::Deliver(m) => Ok(m),
+                Delivery::Lost { stalled: true } => {
+                    Err(RuntimeError::RankStalled { rank: from, epoch, attempts })
+                }
+                Delivery::Lost { stalled: false } => {
+                    Err(RuntimeError::MissingHop { rank: to, channel, epoch, attempts })
+                }
+            };
+            let delivered = got.as_ref().map_err(Clone::clone);
+            let Err(e) = self.check.check(delivered, (from, to), channel, epoch, last) else {
+                return got;
+            };
+            stats.faults_detected += 1;
+            if last || matches!(e, RuntimeError::RankDead { .. }) {
+                return Err(e);
             }
         }
     }
-    Ok(StagedGhosts { inbox, stats, phase, elapsed: t0.elapsed().as_secs_f64() })
+}
+
+impl Wire for BspWire {
+    fn post(
+        &mut self,
+        epoch: u64,
+        from: usize,
+        units: Vec<(usize, Message)>,
+        expected: &[Vec<(usize, Channel)>],
+        stats: &mut CommCounters,
+    ) -> Result<(), RuntimeError> {
+        // This wire holds every rank in order: a held position is a rank id.
+        for (to, unit) in units {
+            let channel = slot_channel(&expected[to], &self.buffers[to], from, &unit);
+            let got = self.deliver(epoch, (from, to), channel, unit, stats)?;
+            self.buffers[to].push((from, got));
+        }
+        Ok(())
+    }
+
+    fn collect(
+        &mut self,
+        _phase: u64,
+        _epoch: u64,
+        to: usize,
+        _expected: &[(usize, Channel)],
+    ) -> Result<Vec<(usize, Message)>, RuntimeError> {
+        Ok(std::mem::take(&mut self.buffers[to]))
+    }
 }
 
 /// A distributed MD simulation executed bulk-synchronously: all ranks run
 /// each phase in lockstep with messages delivered between phases. Message
-/// content and counts are identical to the threaded executor — only the
-/// scheduling differs — so this is the deterministic reference for
-/// correctness tests and communication accounting.
-///
-/// The exchange schedule is the merged one from [`crate::transport`]: three
-/// migration phases, three ghost phases, and three force-return phases per
-/// step, with all per-channel payloads bound for the same neighbor packed
-/// into one framed message per phase (when [`CommConfig::aggregation`] is
-/// on). Interior-cell tuples are computed while the boundary exchange is in
-/// flight (when [`CommConfig::overlap`] is on); both flags are
-/// bitwise-neutral — they change message packing and scheduling, never
+/// content and counts are identical to the threaded executor — the two
+/// share the exchange schedule and differ only in the wire — so this is
+/// the deterministic reference for correctness tests and communication
+/// accounting. [`CommConfig`] changes message packing and scheduling, never
 /// results.
 ///
 /// Every delivery goes through the [`FaultPlan`] (a no-op by default) and is
@@ -309,7 +166,7 @@ pub struct DistributedSim {
     resort_every: u64,
     steps_done: u64,
     needs_prime: bool,
-    fault_plan: FaultPlan,
+    wire: BspWire,
     comm: CommConfig,
     phase: u64,
     last_energy: EnergyBreakdown,
@@ -319,6 +176,8 @@ pub struct DistributedSim {
     // Per-rank (energy, tuples, phases) slots reused every compute call so
     // the compute fan-out allocates nothing in steady state.
     results: Vec<(EnergyBreakdown, TupleCounts, PhaseBreakdown)>,
+    /// Per-rank staged ghost bands of the import in flight.
+    inbox: Vec<Vec<StagedBand>>,
     registry: Registry,
     obs: DistMetrics,
     tracer: Tracer,
@@ -327,9 +186,6 @@ pub struct DistributedSim {
     /// Executor-level sink for the synchronous wall-clock phases, tagged
     /// with the synthetic rank `nranks` so it gets its own timeline row.
     exec_sink: TraceSink,
-    /// Aggregate counters at the end of the previous step, so the registry
-    /// is fed per-step deltas rather than re-counted totals.
-    last_totals: CommCounters,
     /// Counters of rank sets retired by adaptive rebalancing, folded into
     /// [`DistributedSim::comm_stats`] so aggregate totals stay monotone
     /// across re-decompositions.
@@ -338,50 +194,9 @@ pub struct DistributedSim {
     /// rebalance window measures fresh load deltas.
     last_loads: Vec<f64>,
     observer: Option<(u64, Box<dyn Observer>)>,
-    /// The per-rank deadline watchdog / circuit breaker.
-    health: HealthTracker,
-    /// Watchdog counter totals at the last metrics feed (delta source).
-    last_health: HealthCounters,
     /// Set by [`DistributedSim::restore_excluding`]: the runtime lost at
     /// least one rank and is running on a re-decomposed survivor grid.
     degraded: bool,
-}
-
-/// Pre-registered metric handles for the distributed executor; inert when
-/// the registry is disabled.
-struct DistMetrics {
-    steps: Counter,
-    messages: Counter,
-    bytes: Counter,
-    ghosts: Counter,
-    migrated: Counter,
-    retries: Counter,
-    faults: Counter,
-    step_bytes: Histogram,
-    health_suspects: Counter,
-    health_deaths: Counter,
-    health_recoveries: Counter,
-    health_breaker_trips: Counter,
-}
-
-impl DistMetrics {
-    fn register(reg: &Registry) -> Self {
-        DistMetrics {
-            steps: reg.counter("dist.steps"),
-            messages: reg.counter("comm.messages"),
-            bytes: reg.counter("comm.bytes"),
-            ghosts: reg.counter("comm.ghosts_imported"),
-            migrated: reg.counter("comm.atoms_migrated"),
-            retries: reg.counter("comm.retries"),
-            faults: reg.counter("comm.faults_detected"),
-            step_bytes: reg
-                .histogram("comm.step_bytes", &[1024.0, 16384.0, 262144.0, 4194304.0, 67108864.0]),
-            health_suspects: reg.counter("health.suspects"),
-            health_deaths: reg.counter("health.deaths"),
-            health_recoveries: reg.counter("health.recoveries"),
-            health_breaker_trips: reg.counter("health.breaker_trips"),
-        }
-    }
 }
 
 impl DistributedSim {
@@ -412,19 +227,10 @@ impl DistributedSim {
         dt: f64,
         k: i32,
     ) -> Result<Self, SetupError> {
-        if !(1..=3).contains(&k) {
-            return Err(SetupError::UnsupportedSubdivision(k));
-        }
         let grid = RankGrid::try_new(pdims, bbox)?;
         let width = validate_decomposition(&ff, &grid)?;
         let plan = GhostPlan::for_method(ff.method, width)?;
-        let ranks: Vec<RankState> = (0..grid.len())
-            .map(|r| RankState::new_subdivided(r, grid.clone(), &store, &ff, k))
-            .collect();
-        let total: usize = ranks.iter().map(|r| r.owned()).sum();
-        if total != store.len() {
-            return Err(SetupError::AtomsLost { expected: store.len(), claimed: total });
-        }
+        let ranks = decompose(&grid, &store, &ff, k)?;
         let nranks = ranks.len();
         let registry = Registry::disabled();
         Ok(DistributedSim {
@@ -437,7 +243,11 @@ impl DistributedSim {
             resort_every: DEFAULT_RESORT_EVERY,
             steps_done: 0,
             needs_prime: true,
-            fault_plan: FaultPlan::none(),
+            wire: BspWire {
+                fault: FaultPlan::none(),
+                check: DeliveryCheck::new(nranks, TraceSink::disabled()),
+                buffers: Vec::new(),
+            },
             comm: CommConfig::default(),
             phase: 0,
             last_energy: EnergyBreakdown::default(),
@@ -445,17 +255,15 @@ impl DistributedSim {
             timings: PhaseBreakdown::default(),
             pool: ThreadPool::auto(),
             results: vec![Default::default(); nranks],
+            inbox: Vec::new(),
             obs: DistMetrics::register(&registry),
             registry,
             tracer: Tracer::disabled(),
             tsinks: vec![TraceSink::disabled(); nranks],
             exec_sink: TraceSink::disabled(),
-            last_totals: CommCounters::default(),
             carried: CommCounters::default(),
             last_loads: vec![0.0; nranks],
             observer: None,
-            health: HealthTracker::new(nranks, HealthConfig::default()),
-            last_health: HealthCounters::default(),
             degraded: false,
         })
     }
@@ -468,21 +276,9 @@ impl DistributedSim {
         self.comm = comm;
     }
 
-    /// The communication configuration in force.
-    pub fn comm_config(&self) -> CommConfig {
-        self.comm
-    }
-
-    /// Replaces the health watchdog's thresholds (all ranks reset to
-    /// healthy; cumulative transition counters restart).
-    pub fn set_health_config(&mut self, config: HealthConfig) {
-        self.health = HealthTracker::new(self.ranks.len(), config);
-        self.last_health = HealthCounters::default();
-    }
-
     /// The per-rank health watchdog (state and cumulative transitions).
     pub fn health(&self) -> &HealthTracker {
-        &self.health
+        &self.wire.check.health
     }
 
     /// Whether the runtime lost a rank and re-decomposed onto survivors.
@@ -492,11 +288,14 @@ impl DistributedSim {
 
     /// Routes this executor's counters and phase timings into `registry`
     /// (per-step deltas: `comm.messages`, `comm.bytes`, `comm.retries`, …,
-    /// plus a `comm.step_bytes` histogram and the wall-clock phase slots).
+    /// `health.*`, plus a `comm.step_bytes` histogram and the wall-clock
+    /// phase slots).
     pub fn set_metrics(&mut self, registry: Registry) {
+        let last_health = self.obs.last_health;
         self.obs = DistMetrics::register(&registry);
+        self.obs.last_totals = self.comm_stats();
+        self.obs.last_health = last_health;
         self.registry = registry;
-        self.last_totals = self.comm_stats();
     }
 
     /// The metrics registry in use (disabled unless
@@ -508,14 +307,21 @@ impl DistributedSim {
     /// Routes event-level tracing through `tracer`: one sink per rank
     /// carries that rank's comm send/recv events and its compute-phase
     /// intervals, and an extra sink tagged with the synthetic rank
-    /// `nranks` carries the executor's synchronous wall-clock phases on
-    /// its own timeline row. Rings are allocated once here; emitting
-    /// during stepping never allocates.
+    /// `nranks` carries the executor's synchronous wall-clock phases and
+    /// health transitions on its own timeline row. Rings are allocated once
+    /// here; emitting during stepping never allocates.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        let nranks = self.ranks.len();
-        self.tsinks = (0..nranks).map(|r| tracer.sink(r as u32, 0)).collect();
-        self.exec_sink = tracer.sink(nranks as u32, 0);
         self.tracer = tracer;
+        self.attach_sinks();
+    }
+
+    /// Derives the per-rank and executor-row sinks from the installed
+    /// tracer for the current rank count.
+    fn attach_sinks(&mut self) {
+        let nranks = self.ranks.len();
+        self.tsinks = (0..nranks).map(|r| self.tracer.sink(r as u32, 0)).collect();
+        self.exec_sink = self.tracer.sink(nranks as u32, 0);
+        self.wire.check.sink = self.exec_sink.clone();
     }
 
     /// The tracer in use (disabled unless [`DistributedSim::set_tracer`]
@@ -560,14 +366,15 @@ impl DistributedSim {
         }
     }
 
-    /// The per-rank load-imbalance report, with the Eq. 33 import-volume
-    /// prediction `Vω = (l + n − 1)³ − l³` attached for the largest active
-    /// tuple order (`l` = cells per sub-box side at that term's cutoff), so
-    /// measured ghost imports can be checked against the paper's model per
-    /// decomposition.
+    /// The per-rank load-imbalance report: each rank's accepted tuples of
+    /// the last force computation, and the Eq. 33 import-volume prediction
+    /// `Vω = (l + n − 1)³ − l³` for the largest active tuple order (`l` =
+    /// cells per sub-box side at that term's cutoff), so measured ghost
+    /// imports can be checked against the paper's model per decomposition.
     pub fn imbalance_report(&self) -> ImbalanceReport {
         let per_rank: Vec<CommCounters> = self.ranks.iter().map(|r| r.stats.clone()).collect();
-        let mut rep = ImbalanceReport::from_per_rank(&per_rank);
+        let tuples: Vec<u64> = self.results.iter().map(|(_, t, _)| t.total_accepted()).collect();
+        let mut rep = ImbalanceReport::from_per_rank(&per_rank).with_tuples(&tuples);
         if let Some((n, rcut)) = self.ff.terms().into_iter().max_by_key(|&(n, _)| n) {
             let sub = self.grid.rank_box_lengths();
             let l = (sub.x.min(sub.y).min(sub.z) / rcut).floor().max(1.0);
@@ -581,14 +388,9 @@ impl DistributedSim {
         &self.grid
     }
 
-    /// The ghost plan in force.
-    pub fn plan(&self) -> &GhostPlan {
-        &self.plan
-    }
-
     /// Installs a fault plan; subsequent deliveries route through it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
+        self.wire.fault = plan;
     }
 
     /// Sets the Morton re-sort cadence: every `every`-th step each rank
@@ -601,24 +403,13 @@ impl DistributedSim {
 
     /// The active fault plan (to inspect fired [`crate::FaultEvent`]s).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
+        &self.wire.fault
     }
 
     /// Steps completed since construction (or since the restored
     /// checkpoint's step).
     pub fn steps_done(&self) -> u64 {
         self.steps_done
-    }
-
-    /// The integration timestep.
-    pub fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    /// Changes the integration timestep (graceful degradation after
-    /// rollback).
-    pub fn set_timestep(&mut self, dt: f64) {
-        self.dt = dt;
     }
 
     /// Potential energy of the last force computation.
@@ -647,6 +438,7 @@ impl DistributedSim {
     /// Panics on an unrecovered communication fault; fault-injected runs
     /// should step through [`DistributedSim::try_step`] instead.
     pub fn total_energy(&mut self) -> f64 {
+        self.wire.reset(self.ranks.len());
         self.exchange_and_compute().unwrap_or_else(|e| panic!("{e}"));
         self.potential_energy() + self.kinetic_energy()
     }
@@ -695,169 +487,18 @@ impl DistributedSim {
         self.ranks.iter().map(|r| &r.stats).collect()
     }
 
-    /// Migration: three axis-ordered merged phases; every rank sends both
-    /// directions each axis (empty messages included, as MPI codes do),
-    /// framed per neighbor when aggregation is on.
-    fn migrate(&mut self) -> Result<(), RuntimeError> {
-        let epoch = self.steps_done;
-        let nranks = self.ranks.len();
-        for axis in 0..3 {
-            self.phase += 1;
-            let mut sends = Vec::with_capacity(nranks);
-            let mut recvs = Vec::with_capacity(nranks);
-            for r in 0..nranks {
-                let (slots, rx) = transport::migrate_phase(&self.grid, r, axis);
-                let (to_minus, to_plus) = self.ranks[r].collect_migrants(axis);
-                let secs = slots
-                    .into_iter()
-                    .zip([to_minus, to_plus])
-                    .map(|(slot, atoms)| {
-                        let msg = Message::stamped(
-                            self.phase,
-                            epoch,
-                            slot.channel,
-                            Payload::Migrate(atoms),
-                        );
-                        (slot.peer, msg)
-                    })
-                    .collect();
-                sends.push(secs);
-                recvs.push(rx);
-            }
-            let mut side = vec![CommCounters::default(); nranks];
-            let delivered = wire_phase(
-                self.comm.aggregation,
-                self.phase,
-                epoch,
-                &mut self.fault_plan,
-                &mut self.health,
-                &self.exec_sink,
-                &self.tsinks,
-                &mut side,
-                sends,
-                &recvs,
-            )?;
-            for (r, s) in side.iter().enumerate() {
-                self.ranks[r].stats.merge(s);
-            }
-            for (to, payloads) in delivered.into_iter().enumerate() {
-                for (slot, payload) in recvs[to].iter().zip(payloads) {
-                    let Payload::Migrate(atoms) = payload else {
-                        return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                    };
-                    self.ranks[to].absorb_migrants(&atoms);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Halo exchange: forwarded routing per the ghost plan, merged into one
-    /// phase per axis group, absorbed in canonical slot order.
-    fn exchange_ghosts(&mut self) -> Result<(), RuntimeError> {
-        let epoch = self.steps_done;
-        let nranks = self.ranks.len();
-        for r in &mut self.ranks {
-            r.drop_ghosts();
-        }
-        for hops in transport::ghost_phase_groups(&self.plan) {
-            self.phase += 1;
-            let mut sends = Vec::with_capacity(nranks);
-            let mut recvs = Vec::with_capacity(nranks);
-            for r in 0..nranks {
-                let (slots, rx) = transport::ghost_phase(&self.grid, &self.plan, r, &hops);
-                let mut secs = Vec::with_capacity(slots.len());
-                for (slot, &hop) in slots.iter().zip(&hops) {
-                    let (axis, recv_dir) = self.plan.hops[hop];
-                    let band = self.ranks[r].collect_ghost_band(&self.plan, axis, recv_dir);
-                    secs.push((
-                        slot.peer,
-                        Message::stamped(self.phase, epoch, slot.channel, Payload::Ghosts(band)),
-                    ));
-                }
-                sends.push(secs);
-                recvs.push(rx);
-            }
-            let mut side = vec![CommCounters::default(); nranks];
-            let delivered = wire_phase(
-                self.comm.aggregation,
-                self.phase,
-                epoch,
-                &mut self.fault_plan,
-                &mut self.health,
-                &self.exec_sink,
-                &self.tsinks,
-                &mut side,
-                sends,
-                &recvs,
-            )?;
-            for (r, s) in side.iter().enumerate() {
-                self.ranks[r].stats.merge(s);
-            }
-            for (to, payloads) in delivered.into_iter().enumerate() {
-                for ((slot, &hop), payload) in recvs[to].iter().zip(&hops).zip(payloads) {
-                    let Payload::Ghosts(ghosts) = payload else {
-                        return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                    };
-                    self.ranks[to].absorb_ghosts(hop, slot.peer, &ghosts);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reverse force reduction along the reversed routing schedule, merged
-    /// into one phase per axis group (hops descending within a group).
-    fn reduce_forces(&mut self) -> Result<(), RuntimeError> {
-        let epoch = self.steps_done;
-        let nranks = self.ranks.len();
-        for hops in transport::force_phase_groups(&self.plan) {
-            self.phase += 1;
-            let mut sends = Vec::with_capacity(nranks);
-            let mut recvs = Vec::with_capacity(nranks);
-            for r in 0..nranks {
-                let (slots, rx) = transport::force_phase(&self.grid, &self.plan, r, &hops);
-                let mut secs = Vec::with_capacity(slots.len());
-                for (slot, &hop) in slots.iter().zip(&hops) {
-                    let (forces, recorded) = self.ranks[r].collect_ghost_forces(hop);
-                    debug_assert!(
-                        recorded.is_none_or(|t| t == slot.peer),
-                        "ghost origin disagrees with the routing schedule"
-                    );
-                    secs.push((
-                        slot.peer,
-                        Message::stamped(self.phase, epoch, slot.channel, Payload::Forces(forces)),
-                    ));
-                }
-                sends.push(secs);
-                recvs.push(rx);
-            }
-            let mut side = vec![CommCounters::default(); nranks];
-            let delivered = wire_phase(
-                self.comm.aggregation,
-                self.phase,
-                epoch,
-                &mut self.fault_plan,
-                &mut self.health,
-                &self.exec_sink,
-                &self.tsinks,
-                &mut side,
-                sends,
-                &recvs,
-            )?;
-            for (r, s) in side.iter().enumerate() {
-                self.ranks[r].stats.merge(s);
-            }
-            for (to, payloads) in delivered.into_iter().enumerate() {
-                for ((slot, &hop), payload) in recvs[to].iter().zip(&hops).zip(payloads) {
-                    let Payload::Forces(forces) = payload else {
-                        return Err(RuntimeError::WrongPayload { rank: to, channel: slot.channel });
-                    };
-                    self.ranks[to].absorb_ghost_forces(hop, &forces)?;
-                }
-            }
-        }
-        Ok(())
+    /// The shared schedule over every rank, and the ranks themselves.
+    fn schedule(&mut self) -> (Schedule<'_, BspWire>, &mut [RankState]) {
+        let sched = Schedule {
+            wire: &mut self.wire,
+            grid: &self.grid,
+            plan: &self.plan,
+            sinks: &self.tsinks,
+            aggregation: self.comm.aggregation,
+            epoch: self.steps_done,
+            phase: &mut self.phase,
+        };
+        (sched, &mut self.ranks)
     }
 
     /// The per-rank force-computation fan-out: each pool task owns exactly
@@ -876,133 +517,67 @@ impl DistributedSim {
         });
     }
 
-    /// Sums the per-rank results (in rank order, for determinism) into the
-    /// global energy and tuple totals.
-    fn sum_results(&mut self) {
-        let mut energy = EnergyBreakdown::default();
-        let mut tuples = TupleCounts::default();
-        for (e, t, _phases) in &self.results {
-            energy.pair += e.pair;
-            energy.triplet += e.triplet;
-            energy.quadruplet += e.quadruplet;
-            tuples.pair.merge(t.pair);
-            tuples.triplet.merge(t.triplet);
-            tuples.quadruplet.merge(t.quadruplet);
-        }
-        self.last_energy = energy;
-        self.last_tuples = tuples;
-    }
-
-    /// Emits each rank's fine-grained compute phases, laid out cumulatively
-    /// from `start_ns` so each rank's timeline row shows its own bin /
-    /// enumerate / eval / reduce split.
-    fn trace_compute_phases(&self, start_ns: u64) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let step = self.steps_done;
-        for (r, (_, _, phases)) in self.results.iter().enumerate() {
-            let mut cursor = start_ns;
-            for (phase, secs) in phases.iter() {
-                let dur_ns = (secs * 1e9) as u64;
-                if dur_ns > 0 {
-                    self.tsinks[r].phase(step, phase, cursor, dur_ns);
-                    cursor += dur_ns;
-                }
-            }
-        }
-    }
-
-    /// One full ghost-exchange + force-computation + reduction cycle,
-    /// overlapped or sequential per [`CommConfig::overlap`]. Both paths are
-    /// bitwise-identical: sweeps always run interior cells first, then
-    /// frontier cells, and ghosts are absorbed in canonical order either
-    /// way.
+    /// One full ghost-import + force-computation + force-return cycle.
+    /// With [`CommConfig::overlap`] the import runs as pool task 0 while
+    /// the other tasks compute every rank's interior cells on lattices
+    /// extracted via [`RankState::begin_interior`] (the import only reads
+    /// the ghost-free rank states); the frontier pass completes the forces
+    /// once the staged bands are absorbed. Both paths are bitwise-identical:
+    /// sweeps always run interior cells first, then frontier cells, and
+    /// ghosts are absorbed in canonical order either way.
     fn exchange_and_compute(&mut self) -> Result<(), RuntimeError> {
-        // Overlap needs at least one worker lane to hide the exchange
-        // behind; on a single-lane pool the split would serialize anyway
-        // and only pay the second lattice rebuild, so degrade to the fused
-        // single-pass cycle (bitwise-identical — see the comm_modes suite).
-        if self.comm.overlap && self.pool.lanes() > 1 {
-            return self.exchange_and_compute_overlapped();
-        }
-        let t0 = std::time::Instant::now();
-        self.exchange_ghosts()?;
-        let t1 = std::time::Instant::now();
-        let t1_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
-        self.record_wall(Phase::Exchange, (t1 - t0).as_secs_f64());
-        // Ranks compute independently — the BSP phase structure makes this
-        // embarrassingly parallel.
-        self.compute_all();
-        let t2 = std::time::Instant::now();
-        self.record_wall(Phase::Compute, (t2 - t1).as_secs_f64());
-        self.trace_compute_phases(t1_ns);
-        self.reduce_forces()?;
-        self.record_wall(Phase::Reduce, t2.elapsed().as_secs_f64());
-        self.sum_results();
-        Ok(())
-    }
-
-    /// The overlapped cycle: a scoped thread runs the staged boundary
-    /// exchange (band collection reads the rank states immutably) while the
-    /// pool computes every rank's interior cells on lattices extracted via
-    /// [`RankState::begin_interior`]. After the join the staged ghosts are
-    /// absorbed in canonical order and the frontier pass completes the
-    /// forces.
-    fn exchange_and_compute_overlapped(&mut self) -> Result<(), RuntimeError> {
+        // Overlap needs at least one worker lane to hide the import behind;
+        // on a single-lane pool the split would serialize anyway and only
+        // pay the second lattice rebuild, so compute after the import
+        // (bitwise-identical — see the comm_modes suite).
+        let overlap = self.comm.overlap && self.pool.lanes() > 1;
         let t0_ns = if self.tracer.enabled() { self.exec_sink.now_ns() } else { 0 };
+        let t0 = Instant::now();
+        let nranks = self.ranks.len();
         for r in &mut self.ranks {
             r.drop_ghosts();
         }
-        let mut tasks: Vec<InteriorTask> =
-            self.ranks.iter_mut().map(|r| r.begin_interior()).collect();
-        let nranks = self.ranks.len();
-        let epoch = self.steps_done;
-        let start_phase = self.phase;
-        let aggregation = self.comm.aggregation;
-        // Disjoint field borrows: the exchange thread takes the fault plan
-        // and health watchdog mutably plus shared reads of the rank states;
-        // the interior fan-out reads the same rank states and mutates only
-        // the extracted tasks.
-        let ranks = &self.ranks;
-        let fault = &mut self.fault_plan;
-        let health = &mut self.health;
-        let exec_sink = &self.exec_sink;
-        let tsinks = &self.tsinks;
-        let grid = &self.grid;
-        let plan = &self.plan;
-        let pool = &self.pool;
-        let ff = &self.ff;
-        // The exchange runs as one extra pool task alongside the per-rank
-        // interior tasks — same disjoint borrows as a scoped side thread,
-        // but without spawning (and joining) an OS thread every step. The
-        // mutable exchange state rides in a Mutex claimed exactly once by
-        // whichever lane draws task 0.
-        let exchange_state = std::sync::Mutex::new(Some((fault, health)));
-        let staged_out: std::sync::Mutex<Option<Result<StagedGhosts, RuntimeError>>> =
-            std::sync::Mutex::new(None);
-        let t_int = std::time::Instant::now();
-        {
+        self.inbox.resize_with(nranks, Vec::new);
+        for staged in &mut self.inbox {
+            staged.clear();
+        }
+        let mut tasks: Vec<InteriorTask> = if overlap {
+            self.ranks.iter_mut().map(|r| r.begin_interior()).collect()
+        } else {
+            vec![]
+        };
+        // Sends are recorded straight into the rank counters, taken out for
+        // the import because the interior tasks read the rank states.
+        let mut sent: Vec<CommCounters> =
+            self.ranks.iter_mut().map(|r| std::mem::take(&mut r.stats)).collect();
+        let mut sched = Schedule {
+            wire: &mut self.wire,
+            grid: &self.grid,
+            plan: &self.plan,
+            sinks: &self.tsinks,
+            aggregation: self.comm.aggregation,
+            epoch: self.steps_done,
+            phase: &mut self.phase,
+        };
+        let (ranks, inbox, ff) = (&self.ranks, &mut self.inbox, &self.ff);
+        let (imported, import_secs, interior_secs) = if overlap {
+            // The import rides in a Mutex claimed exactly once by whichever
+            // lane draws task 0 — no OS thread spawned per step.
+            let import = Mutex::new(Some((&mut sched, &mut sent[..], &mut inbox[..])));
+            let outcome = Mutex::new(None);
             let slots = LaneSlots::new(tasks.as_mut_ptr());
-            let exchange_state = &exchange_state;
-            let staged_out = &staged_out;
-            pool.run(nranks + 1, &move |t| {
+            let t_int = Instant::now();
+            self.pool.run(nranks + 1, &|t| {
                 if t == 0 {
-                    let (fault, health) =
-                        exchange_state.lock().unwrap().take().expect("exchange task runs once");
-                    let r = staged_exchange(
-                        grid,
-                        plan,
-                        ranks,
-                        fault,
-                        health,
-                        exec_sink,
-                        tsinks,
-                        aggregation,
-                        epoch,
-                        start_phase,
-                    );
-                    *staged_out.lock().unwrap() = Some(r);
+                    let (sched, sent, inbox) = import
+                        .lock()
+                        .expect("no lane panicked")
+                        .take()
+                        .expect("the import runs once");
+                    let t = Instant::now();
+                    let r = sched.import_ghosts(ranks, sent, inbox, || {});
+                    *outcome.lock().expect("no lane panicked") =
+                        Some((r, t.elapsed().as_secs_f64()));
                 } else {
                     // SAFETY: task index t is claimed exactly once per run,
                     // so each task slot is touched by a single lane; the
@@ -1011,42 +586,47 @@ impl DistributedSim {
                     RankState::run_interior(task, &ranks[t - 1], ff);
                 }
             });
-        }
-        let interior_secs = t_int.elapsed().as_secs_f64();
-        let staged = staged_out.into_inner().expect("no lane panicked").expect("task 0 ran");
-        let staged = match staged {
-            Ok(s) => s,
-            Err(e) => {
-                // Hand the lattices back so a checkpoint restore finds the
-                // rank states structurally whole.
-                for (r, task) in self.ranks.iter_mut().zip(tasks) {
-                    r.finish_interior(task);
-                }
-                return Err(e);
-            }
+            let interior_secs = t_int.elapsed().as_secs_f64();
+            let (r, secs) = outcome.into_inner().expect("no lane panicked").expect("task 0 ran");
+            (r, secs, interior_secs)
+        } else {
+            (sched.import_ghosts(ranks, &mut sent, inbox, || {}), 0.0, 0.0)
         };
-        // Bank the interior passes and absorb the staged ghosts in the
-        // same canonical order the in-line exchange uses.
-        for ((rank, task), inbox) in self.ranks.iter_mut().zip(tasks).zip(&staged.inbox) {
+        for (rank, stats) in self.ranks.iter_mut().zip(sent) {
+            rank.stats = stats;
+        }
+        // Bank the interior passes (also on error, so a checkpoint restore
+        // finds the rank states structurally whole).
+        for (rank, task) in self.ranks.iter_mut().zip(tasks) {
             rank.finish_interior(task);
-            for (hop, from, ghosts) in inbox {
-                rank.absorb_ghosts(*hop, *from, ghosts);
-            }
         }
-        for (r, s) in staged.stats.iter().enumerate() {
-            self.ranks[r].stats.merge(s);
-        }
-        self.phase = staged.phase;
-        self.record_wall(Phase::Exchange, staged.elapsed);
-        let t1 = std::time::Instant::now();
-        // Frontier (and Hybrid full) computation now that the halo landed.
+        imported?;
+        absorb_staged(&mut self.ranks, &mut self.inbox);
+        let t1 = Instant::now();
+        let compute_start_ns = if overlap {
+            t0_ns
+        } else if self.tracer.enabled() {
+            self.exec_sink.now_ns()
+        } else {
+            0
+        };
+        self.record_wall(
+            Phase::Exchange,
+            if overlap { import_secs } else { (t1 - t0).as_secs_f64() },
+        );
+        // Frontier (and Hybrid full) computation now that the halo landed;
+        // ranks compute independently.
         self.compute_all();
         self.record_wall(Phase::Compute, interior_secs + t1.elapsed().as_secs_f64());
-        self.trace_compute_phases(t0_ns);
-        let t2 = std::time::Instant::now();
-        self.reduce_forces()?;
+        for (sink, (_, _, phases)) in self.tsinks.iter().zip(&self.results) {
+            trace_compute(sink, self.steps_done, compute_start_ns, phases);
+        }
+        let t2 = Instant::now();
+        let (mut sched, ranks) = self.schedule();
+        sched.return_forces(ranks)?;
         self.record_wall(Phase::Reduce, t2.elapsed().as_secs_f64());
-        self.sum_results();
+        (self.last_energy, self.last_tuples) =
+            sum_results(self.results.iter().map(|(e, t, _)| (e, t)));
         Ok(())
     }
 
@@ -1073,13 +653,10 @@ impl DistributedSim {
         if validate_decomposition(&self.ff, &grid).is_err() {
             return;
         }
-        let store = self.gather();
-        let ranks: Vec<RankState> = (0..grid.len())
-            .map(|r| RankState::new_subdivided(r, grid.clone(), &store, &self.ff, self.subdivision))
-            .collect();
-        if ranks.iter().map(|r| r.owned()).sum::<usize>() != store.len() {
-            return; // a malformed split would lose atoms; keep the old grid
-        }
+        // A malformed split would lose atoms; keep the old grid.
+        let Ok(ranks) = decompose(&grid, &self.gather(), &self.ff, self.subdivision) else {
+            return;
+        };
         for r in &self.ranks {
             self.carried.merge(&r.stats);
         }
@@ -1090,7 +667,7 @@ impl DistributedSim {
         self.grid = grid;
         self.ranks = ranks;
         self.last_loads = vec![0.0; self.ranks.len()];
-        self.health.reset(self.ranks.len());
+        self.wire.check.health.reset(self.ranks.len());
         self.needs_prime = true;
     }
 
@@ -1101,6 +678,7 @@ impl DistributedSim {
     /// error the simulation state is unspecified (a phase may have half
     /// run); restore from a checkpoint before stepping again.
     pub fn try_step(&mut self) -> Result<(), RuntimeError> {
+        self.wire.reset(self.ranks.len());
         // Rebalance before the priming check: re-decomposition drops the
         // force state, and the priming exchange rebuilds it.
         if self.comm.rebalance_every != 0
@@ -1113,7 +691,7 @@ impl DistributedSim {
             self.exchange_and_compute()?;
             self.needs_prime = false;
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         for r in &mut self.ranks {
             r.vv_start(self.dt);
         }
@@ -1127,12 +705,13 @@ impl DistributedSim {
                 r.resort_owned();
             }
         }
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         self.record_wall(Phase::Integrate, (t1 - t0).as_secs_f64());
-        self.migrate()?;
+        let (mut sched, ranks) = self.schedule();
+        sched.migrate(ranks)?;
         self.record_wall(Phase::Migrate, t1.elapsed().as_secs_f64());
         self.exchange_and_compute()?;
-        let t2 = std::time::Instant::now();
+        let t2 = Instant::now();
         for r in &mut self.ranks {
             r.vv_finish(self.dt);
         }
@@ -1165,22 +744,7 @@ impl DistributedSim {
         if !self.registry.enabled() {
             return;
         }
-        let now = self.comm_stats();
-        self.obs.steps.inc();
-        self.obs.messages.add(now.messages - self.last_totals.messages);
-        self.obs.bytes.add(now.bytes - self.last_totals.bytes);
-        self.obs.ghosts.add(now.ghosts_imported - self.last_totals.ghosts_imported);
-        self.obs.migrated.add(now.atoms_migrated - self.last_totals.atoms_migrated);
-        self.obs.retries.add(now.retries - self.last_totals.retries);
-        self.obs.faults.add(now.faults_detected - self.last_totals.faults_detected);
-        self.obs.step_bytes.observe((now.bytes - self.last_totals.bytes) as f64);
-        self.last_totals = now;
-        let h = self.health.counters();
-        self.obs.health_suspects.add(h.suspects - self.last_health.suspects);
-        self.obs.health_deaths.add(h.deaths - self.last_health.deaths);
-        self.obs.health_recoveries.add(h.recoveries - self.last_health.recoveries);
-        self.obs.health_breaker_trips.add(h.breaker_trips - self.last_health.breaker_trips);
-        self.last_health = h;
+        self.obs.feed(self.comm_stats(), self.wire.check.health.counters());
     }
 
     /// One velocity-Verlet step.
@@ -1203,15 +767,8 @@ impl DistributedSim {
     /// positions wrapped into the global box — directly comparable with a
     /// serial [`sc_md::Simulation`].
     pub fn gather(&self) -> AtomStore {
-        let mut atoms: Vec<crate::msg::AtomMsg> =
-            self.ranks.iter().flat_map(|r| r.owned_atoms()).collect();
-        atoms.sort_by_key(|a| a.id);
-        let masses = self.ranks[0].store().species_masses().to_vec();
-        let mut out = AtomStore::new(masses);
-        for a in &atoms {
-            out.push(a.id, a.species, a.position, a.velocity);
-        }
-        out
+        let atoms = self.ranks.iter().flat_map(|r| r.owned_atoms()).collect();
+        gather_store(atoms, self.ranks[0].store().species_masses().to_vec())
     }
 
     /// Re-decomposes a checkpoint onto an arbitrary `pdims` rank grid and
@@ -1229,33 +786,32 @@ impl DistributedSim {
         let grid = RankGrid::try_new(pdims, cp.bbox())?;
         let width = validate_decomposition(&self.ff, &grid)?;
         let plan = GhostPlan::for_method(self.ff.method, width)?;
-        let store = cp.to_store();
-        let ranks: Vec<RankState> = (0..grid.len())
-            .map(|r| RankState::new_subdivided(r, grid.clone(), &store, &self.ff, self.subdivision))
-            .collect();
-        let total: usize = ranks.iter().map(|r| r.owned()).sum();
-        if total != store.len() {
-            return Err(SetupError::AtomsLost { expected: store.len(), claimed: total });
-        }
+        let ranks = decompose(&grid, &cp.to_store(), &self.ff, self.subdivision)?;
         let nranks = ranks.len();
         self.grid = grid;
         self.plan = plan;
-        self.ranks = ranks;
         self.results = vec![Default::default(); nranks];
-        self.tsinks = (0..nranks).map(|r| self.tracer.sink(r as u32, 0)).collect();
-        self.exec_sink = self.tracer.sink(nranks as u32, 0);
+        self.resume(cp, ranks);
+        self.attach_sinks();
         // Rank indices mean something new now; per-rank health state from
         // the old grid is unusable (cumulative counters are kept).
-        self.health.reset(nranks);
+        self.wire.check.health.reset(nranks);
+        Ok(())
+    }
+
+    /// Continues from `cp` on `ranks`, freshly decomposed from it: forces
+    /// are recomputed by the priming exchange, and the rebuilt rank
+    /// counters restart the delta feed.
+    fn resume(&mut self, cp: &Checkpoint, ranks: Vec<RankState>) {
+        self.last_loads = vec![0.0; ranks.len()];
+        self.ranks = ranks;
         self.dt = cp.dt;
         self.steps_done = cp.step;
         self.needs_prime = true;
         self.last_energy = EnergyBreakdown::default();
         self.last_tuples = TupleCounts::default();
-        self.last_totals = CommCounters::default();
+        self.obs.last_totals = CommCounters::default();
         self.carried = CommCounters::default();
-        self.last_loads = vec![0.0; nranks];
-        Ok(())
     }
 
     /// The dead-rank recovery path: retires the ranks in `exclude` from
@@ -1278,7 +834,7 @@ impl DistributedSim {
             return Err(SetupError::BadRankGrid { pdims: [0, 0, 0] });
         }
         for &r in exclude {
-            self.fault_plan.retire_rank(r);
+            self.wire.fault.retire_rank(r);
             self.exec_sink
                 .instant(self.steps_done, EventKind::Redecompose { rank: r as u32, lost: true });
         }
@@ -1319,20 +875,12 @@ impl Recoverable for DistributedSim {
         // point (summation order inside a rank may differ from the
         // pre-fault run, so continuation is exact physics, not bitwise).
         let store = cp.to_store();
-        self.ranks = (0..self.grid.len())
+        let ranks = (0..self.grid.len())
             .map(|r| {
                 RankState::new_subdivided(r, self.grid.clone(), &store, &self.ff, self.subdivision)
             })
             .collect();
-        self.dt = cp.dt;
-        self.steps_done = cp.step;
-        self.needs_prime = true;
-        self.last_energy = EnergyBreakdown::default();
-        self.last_tuples = TupleCounts::default();
-        // Rank stats were rebuilt from scratch; re-baseline the delta feed.
-        self.last_totals = CommCounters::default();
-        self.carried = CommCounters::default();
-        self.last_loads = vec![0.0; self.ranks.len()];
+        self.resume(cp, ranks);
     }
 
     fn atom_count(&self) -> usize {
@@ -1344,14 +892,7 @@ impl Recoverable for DistributedSim {
     }
 
     fn state_is_finite(&self) -> bool {
-        self.ranks.iter().all(|rank| {
-            let s = rank.store();
-            (0..rank.owned()).all(|i| {
-                s.positions()[i].is_finite()
-                    && s.velocities()[i].is_finite()
-                    && s.forces()[i].is_finite()
-            })
-        })
+        self.ranks.iter().all(RankState::is_finite)
     }
 
     fn timestep(&self) -> f64 {

@@ -1,38 +1,43 @@
 //! Threaded executor: one OS thread per rank, crossbeam channels as the
-//! interconnect — true concurrent message passing with the same merged-phase
-//! transport schedule (and therefore bitwise-identical physics) as the BSP
-//! executor.
+//! interconnect — true concurrent message passing over the same exchange
+//! schedule ([`crate::schedule`]) as the BSP executor, and therefore
+//! bitwise-identical physics and equal counters.
 //!
-//! The executor is persistent: worker threads live across steps and are
-//! driven by a per-rank command channel, so the executor can step, gather,
-//! checkpoint, and restore like [`crate::DistributedSim`] and both hide
-//! behind one `Executor` surface in `sc-spec`. Every wire unit is stamped
-//! (epoch, channel, checksum) and verified on receipt — per section for
-//! aggregated frames. Deterministic fault *injection* lives in the BSP
-//! executor only (scripted faults need a reproducible delivery order, which
-//! concurrent threads cannot provide), but validation here protects against
-//! the same protocol-confusion failure modes.
+//! Each worker drives the shared phase bodies over the one rank it holds;
+//! the channel wire ([`Mailbox`]) posts units to the peers' channels and
+//! collects its own, verifying every unit (per section for aggregated
+//! frames) and feeding a per-peer health watchdog through the same check
+//! as the BSP wire. The executor is persistent: workers live across steps
+//! and are driven by a per-rank command channel, so it can step, gather,
+//! checkpoint, and restore like [`crate::DistributedSim`], and both hide
+//! behind one `Executor` surface in `sc-spec`. Deterministic fault
+//! *injection* lives in the BSP executor only (scripted faults need a
+//! reproducible delivery order, which concurrent threads cannot provide).
 
 use crate::comm::GhostPlan;
-use crate::error::{RunError, RuntimeError, SetupError};
+use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
-use crate::health::{HealthConfig, HealthTracker, RankHealth};
+use crate::health::HealthCounters;
 use crate::msg::{AtomMsg, Channel, Message, Payload};
-use crate::rank::{validate_decomposition, ForceField, RankState, DEFAULT_RESORT_EVERY};
-use crate::transport::{self, CommConfig, Slot};
+use crate::rank::{decompose, validate_decomposition, ForceField, RankState, DEFAULT_RESORT_EVERY};
+use crate::schedule::{
+    absorb_staged, gather_store, slot_channel, sum_results, trace_compute, DeliveryCheck,
+    DistMetrics, Schedule, StagedBand, Wire,
+};
+use crate::transport::CommConfig;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox};
 use sc_md::checkpoint::{Checkpoint, SnapshotLayout};
 use sc_md::supervisor::Recoverable;
 use sc_md::{EnergyBreakdown, Telemetry, TupleCounts};
-use sc_obs::trace::EventKind;
 use sc_obs::{CommCounters, Phase, Registry, TraceSink, Tracer};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
-/// A wire message tagged with its sending rank.
-type Wire = (usize, Message);
+/// A wire unit tagged with its sending rank.
+type Unit = (usize, Message);
 
 /// Sentinel phase the controller broadcasts to unblock workers whose peer
 /// unwound mid-protocol; a mailbox seeing it fails its pending receive.
@@ -55,8 +60,8 @@ enum Cmd {
 }
 
 /// A worker's per-step report back to the controller: everything the
-/// executor needs to serve telemetry, supervision invariants, and energy
-/// queries without another round-trip.
+/// executor needs to serve telemetry, metrics, supervision invariants, and
+/// energy queries without another round-trip.
 #[derive(Clone, Default)]
 struct StepView {
     energy: EnergyBreakdown,
@@ -65,6 +70,7 @@ struct StepView {
     owned: usize,
     finite: bool,
     stats: CommCounters,
+    health: HealthCounters,
 }
 
 /// One reply per `Step` / `Energy` / `Gather` command, tagged with the
@@ -75,197 +81,156 @@ enum Reply {
     Failed(RuntimeError),
 }
 
-/// Buffers out-of-phase messages: a fast neighbour may send phase k+1
-/// traffic while this rank still waits on phase k from a slow one.
+/// The channel [`Wire`] of one worker: senders to every rank, its own
+/// receiver, and a pending buffer for out-of-phase units — a fast
+/// neighbour may send phase k+1 traffic while this rank still waits on
+/// phase k from a slow one.
 struct Mailbox {
     rank: usize,
-    rx: Receiver<Wire>,
-    pending: Vec<Wire>,
-    /// Per-peer health watchdog — protocol parity with the BSP executor:
-    /// a stamp failure marks the sender suspect, and the flap breaker can
-    /// declare a peer dead from the receive path alone.
-    health: HealthTracker,
-    tsink: TraceSink,
+    txs: Vec<Sender<Unit>>,
+    rx: Receiver<Unit>,
+    pending: Vec<Unit>,
+    /// Per-peer watchdog, traced on this rank's row: a stamp failure marks
+    /// the sender suspect, and the flap breaker can declare a peer dead
+    /// from the receive path alone.
+    check: DeliveryCheck,
 }
 
 impl Mailbox {
-    /// Pulls the next wire unit stamped with `phase`, from the pending
-    /// buffer or the channel. A poison sentinel or a closed channel means a
-    /// peer unwound mid-protocol and the slot can never fill.
-    fn next_unit(&mut self, phase: u64, epoch: u64, slot0: Channel) -> Result<Wire, RuntimeError> {
-        let missing = |rank| RuntimeError::MissingHop { rank, channel: slot0, epoch, attempts: 1 };
-        if let Some(pos) =
-            self.pending.iter().position(|(_, m)| m.phase == phase || m.phase == POISON_PHASE)
-        {
-            let (from, m) = self.pending.swap_remove(pos);
-            if m.phase == POISON_PHASE {
-                return Err(missing(self.rank));
-            }
-            return Ok((from, m));
-        }
+    /// Pulls the next unit stamped with `phase`, from the pending buffer or
+    /// the channel. A poison sentinel or a closed channel means a peer
+    /// unwound mid-protocol and the slot can never fill.
+    fn next_unit(&mut self, phase: u64, epoch: u64, slot0: Channel) -> Result<Unit, RuntimeError> {
+        let missing =
+            RuntimeError::MissingHop { rank: self.rank, channel: slot0, epoch, attempts: 1 };
         loop {
-            let Ok((from, m)) = self.rx.recv() else {
-                return Err(missing(self.rank));
+            let wanted = |m: &Message| m.phase == phase || m.phase == POISON_PHASE;
+            let (from, m) = match self.pending.iter().position(|(_, m)| wanted(m)) {
+                Some(pos) => self.pending.swap_remove(pos),
+                None => self.rx.recv().map_err(|_| missing.clone())?,
             };
-            if m.phase == POISON_PHASE {
-                return Err(missing(self.rank));
+            match m.phase {
+                POISON_PHASE => return Err(missing),
+                p if p == phase => return Ok((from, m)),
+                _ => self.pending.push((from, m)),
             }
-            if m.phase == phase {
-                return Ok((from, m));
-            }
-            self.pending.push((from, m));
         }
     }
+}
 
-    /// Verifies a wire unit's outer stamp against the expected channel —
-    /// and each section's stamp for aggregated frames — feeding the
-    /// sender's health watchdog with the outcome.
-    fn verify_unit(
+impl Wire for Mailbox {
+    /// Puts the units on the peers' channels. A send can fail only when the
+    /// peer already unwound with its own error; this rank then errors on
+    /// its next receive.
+    fn post(
         &mut self,
-        m: &Message,
+        _epoch: u64,
         from: usize,
-        channel: Channel,
-        epoch: u64,
+        units: Vec<(usize, Message)>,
+        _expected: &[Vec<(usize, Channel)>],
+        _stats: &mut CommCounters,
     ) -> Result<(), RuntimeError> {
-        let res = m.verify(self.rank, epoch, channel).and_then(|()| {
-            if let Payload::Batch(secs) = &m.payload {
-                for s in secs {
-                    s.verify(self.rank, epoch, s.channel)?;
-                }
-            }
-            Ok(())
-        });
-        let outcome = match &res {
-            Ok(()) => self.health.record_success(from, channel.trace_class(), epoch),
-            Err(_) => self.health.record_failure(from, channel.trace_class(), epoch),
-        };
-        if let Some(s) = outcome {
-            self.tsink.instant(epoch, EventKind::Health { peer: from as u32, state: s.code() });
-            if s == RankHealth::Dead {
-                return Err(RuntimeError::RankDead { rank: from, step: epoch, epoch });
-            }
+        for (to, unit) in units {
+            let _ = self.txs[to].send((from, unit));
         }
-        res
+        Ok(())
+    }
+
+    /// Receives the phase's expected units in whatever order they arrive;
+    /// per-sender channel order is FIFO, so each source's units arrive in
+    /// send order.
+    fn collect(
+        &mut self,
+        phase: u64,
+        epoch: u64,
+        to: usize,
+        expected: &[(usize, Channel)],
+    ) -> Result<Vec<Unit>, RuntimeError> {
+        let mut units: Vec<Unit> = Vec::with_capacity(expected.len());
+        while units.len() < expected.len() {
+            let (from, m) = self.next_unit(phase, epoch, expected[0].1)?;
+            let channel = slot_channel(expected, &units, from, &m);
+            self.check.check(Ok(&m), (from, to), channel, epoch, true)?;
+            units.push((from, m));
+        }
+        Ok(units)
     }
 }
 
 /// The per-rank worker: rank state plus its end of the interconnect.
 struct Worker {
     state: RankState,
-    rank: usize,
     grid: RankGrid,
     plan: GhostPlan,
     ff: Arc<ForceField>,
-    txs: Vec<Sender<Wire>>,
     mailbox: Mailbox,
+    /// This rank's trace sink (phases, Send/Recv).
     tsink: TraceSink,
+    /// Staged ghost bands of the import in flight.
+    inbox: Vec<StagedBand>,
     phase: u64,
     steps_done: u64,
     needs_prime: bool,
 }
 
 impl Worker {
-    /// Frames this phase's stamped sections per destination and puts them
-    /// on the wire. Bytes and section counts are recorded once per wire
-    /// unit, mirroring the BSP executor's counter discipline. A send can
-    /// fail only when the peer already unwound with its own error; this
-    /// rank then errors on its next receive.
-    fn send_frames(&mut self, aggregation: bool, epoch: u64, secs: Vec<(usize, Message)>) {
-        for (to, unit) in transport::frame_sections(aggregation, self.phase, epoch, secs) {
-            let bytes = unit.payload.wire_bytes();
-            let nsec = unit.payload.section_count() as u16;
-            self.state.stats.record_send(to, bytes);
-            self.tsink.send(epoch, unit.channel.trace_class(), to as u32, bytes, nsec, epoch);
-            let _ = self.txs[to].send((self.rank, unit));
-        }
-    }
-
-    /// Receives the phase's expected wire units (in whatever order they
-    /// arrive), verifies each against the canonical slot it must fill, and
-    /// returns the payloads in canonical slot order.
-    fn recv_phase(
+    /// The shared schedule over this worker's rank, the rank, and its
+    /// staged-import inbox.
+    fn schedule(
         &mut self,
-        aggregation: bool,
+        comm: CommConfig,
         epoch: u64,
-        rx_slots: &[Slot],
-    ) -> Result<Vec<Payload>, RuntimeError> {
-        let expected = transport::expected_units(aggregation, rx_slots);
-        let mut units: Vec<Wire> = Vec::with_capacity(expected.len());
-        while units.len() < expected.len() {
-            let (from, m) = self.mailbox.next_unit(self.phase, epoch, rx_slots[0].channel)?;
-            // The k-th unit from `from` fills the k-th canonical expected
-            // unit from that source (k > 0 only without aggregation;
-            // per-sender channel order is FIFO, so arrival order per source
-            // equals send order).
-            let already = units.iter().filter(|(f, _)| *f == from).count();
-            let channel = expected
-                .iter()
-                .filter(|(p, _)| *p == from)
-                .nth(already)
-                .map(|(_, c)| *c)
-                .unwrap_or(m.channel);
-            self.mailbox.verify_unit(&m, from, channel, epoch)?;
-            self.tsink.recv(
-                epoch,
-                channel.trace_class(),
-                from as u32,
-                m.payload.wire_bytes(),
-                m.payload.section_count() as u16,
-                epoch,
-            );
-            units.push((from, m));
-        }
-        transport::match_sections(self.mailbox.rank, epoch, rx_slots, units)
+    ) -> (Schedule<'_, Mailbox>, &mut RankState, &mut Vec<StagedBand>) {
+        let sched = Schedule {
+            wire: &mut self.mailbox,
+            grid: &self.grid,
+            plan: &self.plan,
+            sinks: std::slice::from_ref(&self.tsink),
+            aggregation: comm.aggregation,
+            epoch,
+            phase: &mut self.phase,
+        };
+        (sched, &mut self.state, &mut self.inbox)
     }
 
-    /// One full ghost-exchange + force-computation + reduction cycle on
-    /// this rank — the same merged-phase schedule as the BSP executor, so
-    /// counters and physics agree bitwise. With overlap on, the interior
-    /// tuples are computed between putting the first (axis 0) ghost phase
-    /// on the wire and blocking on its arrivals, hiding peer latency.
+    /// One full ghost-import + force-computation + force-return cycle on
+    /// this rank. With overlap on, the interior tuples are computed between
+    /// posting the first ghost phase and blocking on its arrivals, hiding
+    /// peer latency.
     fn exchange_and_compute(
         &mut self,
         comm: CommConfig,
         epoch: u64,
     ) -> Result<(EnergyBreakdown, TupleCounts), RuntimeError> {
-        let t_ex = std::time::Instant::now();
+        let t_ex = Instant::now();
         let ex0 = self.tsink.now_ns();
         self.state.drop_ghosts();
+        let mut task = comm.overlap.then(|| self.state.begin_interior());
         let mut interior_secs = 0.0;
-        for (gi, hops) in transport::ghost_phase_groups(&self.plan).into_iter().enumerate() {
-            self.phase += 1;
-            let (slots, rx_slots) =
-                transport::ghost_phase(&self.grid, &self.plan, self.rank, &hops);
-            let mut secs = Vec::with_capacity(slots.len());
-            for (slot, &hop) in slots.iter().zip(&hops) {
-                let (axis, recv_dir) = self.plan.hops[hop];
-                let band = self.state.collect_ghost_band(&self.plan, axis, recv_dir);
-                secs.push((
-                    slot.peer,
-                    Message::stamped(self.phase, epoch, slot.channel, Payload::Ghosts(band)),
-                ));
-            }
-            self.send_frames(comm.aggregation, epoch, secs);
-            if gi == 0 && comm.overlap {
-                // The axis-0 bands left from the still-ghost-free store;
-                // compute interior tuples before blocking on the arrivals.
-                let t_int = std::time::Instant::now();
-                let mut task = self.state.begin_interior();
-                RankState::run_interior(&mut task, &self.state, &self.ff);
-                self.state.finish_interior(task);
-                interior_secs = t_int.elapsed().as_secs_f64();
-            }
-            let payloads = self.recv_phase(comm.aggregation, epoch, &rx_slots)?;
-            for ((slot, &hop), payload) in rx_slots.iter().zip(&hops).zip(payloads) {
-                let Payload::Ghosts(g) = payload else {
-                    return Err(RuntimeError::WrongPayload {
-                        rank: self.rank,
-                        channel: slot.channel,
-                    });
-                };
-                self.state.absorb_ghosts(hop, slot.peer, &g);
-            }
+        // The import only reads the rank; its sends are recorded in the
+        // rank counters, taken out meanwhile.
+        let mut sent = std::mem::take(&mut self.state.stats);
+        let ff = Arc::clone(&self.ff);
+        let (mut sched, state, inbox) = self.schedule(comm, epoch);
+        let state = &*state;
+        let imported = sched.import_ghosts(
+            std::slice::from_ref(state),
+            std::slice::from_mut(&mut sent),
+            std::slice::from_mut(inbox),
+            || {
+                if let Some(task) = task.as_mut() {
+                    let t_int = Instant::now();
+                    RankState::run_interior(task, state, &ff);
+                    interior_secs = t_int.elapsed().as_secs_f64();
+                }
+            },
+        );
+        self.state.stats = sent;
+        if let Some(task) = task {
+            self.state.finish_interior(task);
         }
+        imported?;
+        absorb_staged(std::slice::from_mut(&mut self.state), std::slice::from_mut(&mut self.inbox));
         // The interior pass is compute, not communication, even though it
         // ran inside the exchange window.
         let exchange_secs = (t_ex.elapsed().as_secs_f64() - interior_secs).max(0.0);
@@ -273,48 +238,11 @@ impl Worker {
         self.tsink.phase(epoch, Phase::Exchange, ex0, self.tsink.now_ns().saturating_sub(ex0));
         let c0 = self.tsink.now_ns();
         let (energy, tuples, phases) = self.state.compute_forces(&self.ff);
-        if self.tsink.enabled() {
-            // Fine-grained compute sub-phases, laid out cumulatively from
-            // the compute start on this rank's own timeline row.
-            let mut cursor = c0;
-            for (p, secs) in phases.iter() {
-                let dur_ns = (secs * 1e9) as u64;
-                if dur_ns > 0 {
-                    self.tsink.phase(epoch, p, cursor, dur_ns);
-                    cursor += dur_ns;
-                }
-            }
-        }
-        let t_red = std::time::Instant::now();
+        trace_compute(&self.tsink, epoch, c0, &phases);
+        let t_red = Instant::now();
         let r0 = self.tsink.now_ns();
-        for hops in transport::force_phase_groups(&self.plan) {
-            self.phase += 1;
-            let (slots, rx_slots) =
-                transport::force_phase(&self.grid, &self.plan, self.rank, &hops);
-            let mut secs = Vec::with_capacity(slots.len());
-            for (slot, &hop) in slots.iter().zip(&hops) {
-                let (forces, recorded) = self.state.collect_ghost_forces(hop);
-                debug_assert!(
-                    recorded.is_none_or(|t| t == slot.peer),
-                    "ghost origin disagrees with the routing schedule"
-                );
-                secs.push((
-                    slot.peer,
-                    Message::stamped(self.phase, epoch, slot.channel, Payload::Forces(forces)),
-                ));
-            }
-            self.send_frames(comm.aggregation, epoch, secs);
-            let payloads = self.recv_phase(comm.aggregation, epoch, &rx_slots)?;
-            for ((_slot, &hop), payload) in rx_slots.iter().zip(&hops).zip(payloads) {
-                let Payload::Forces(f) = payload else {
-                    return Err(RuntimeError::WrongPayload {
-                        rank: self.rank,
-                        channel: Channel::Forces { hop },
-                    });
-                };
-                self.state.absorb_ghost_forces(hop, &f)?;
-            }
-        }
+        let (mut sched, state, _) = self.schedule(comm, epoch);
+        sched.return_forces(std::slice::from_mut(state))?;
         // The reverse ghost-force reduction is communication too; fold it
         // into the exchange slot of this rank's breakdown.
         self.state.stats.phases.add(Phase::Exchange, t_red.elapsed().as_secs_f64());
@@ -334,7 +262,7 @@ impl Worker {
             self.exchange_and_compute(comm, epoch)?;
             self.needs_prime = false;
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let i0 = self.tsink.now_ns();
         self.state.vv_start(dt);
         self.state.drop_ghosts();
@@ -345,37 +273,14 @@ impl Worker {
         }
         self.state.stats.phases.add(Phase::Integrate, t0.elapsed().as_secs_f64());
         self.tsink.phase(epoch, Phase::Integrate, i0, self.tsink.now_ns().saturating_sub(i0));
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         let m0 = self.tsink.now_ns();
-        for axis in 0..3 {
-            self.phase += 1;
-            let (slots, rx_slots) = transport::migrate_phase(&self.grid, self.rank, axis);
-            let (to_minus, to_plus) = self.state.collect_migrants(axis);
-            let secs = slots
-                .into_iter()
-                .zip([to_minus, to_plus])
-                .map(|(slot, atoms)| {
-                    let msg =
-                        Message::stamped(self.phase, epoch, slot.channel, Payload::Migrate(atoms));
-                    (slot.peer, msg)
-                })
-                .collect();
-            self.send_frames(comm.aggregation, epoch, secs);
-            let payloads = self.recv_phase(comm.aggregation, epoch, &rx_slots)?;
-            for (slot, payload) in rx_slots.iter().zip(payloads) {
-                let Payload::Migrate(a) = payload else {
-                    return Err(RuntimeError::WrongPayload {
-                        rank: self.rank,
-                        channel: slot.channel,
-                    });
-                };
-                self.state.absorb_migrants(&a);
-            }
-        }
+        let (mut sched, state, _) = self.schedule(comm, epoch);
+        sched.migrate(std::slice::from_mut(state))?;
         self.state.stats.phases.add(Phase::Migrate, t1.elapsed().as_secs_f64());
         self.tsink.phase(epoch, Phase::Migrate, m0, self.tsink.now_ns().saturating_sub(m0));
         let (energy, tuples) = self.exchange_and_compute(comm, epoch)?;
-        let t2 = std::time::Instant::now();
+        let t2 = Instant::now();
         let f0 = self.tsink.now_ns();
         self.state.vv_finish(dt);
         self.state.stats.phases.add(Phase::Integrate, t2.elapsed().as_secs_f64());
@@ -388,19 +293,14 @@ impl Worker {
     /// invariants (atom count, finiteness) so the controller never needs a
     /// second round-trip to answer them.
     fn view(&self, energy: EnergyBreakdown, tuples: TupleCounts) -> Box<StepView> {
-        let s = self.state.store();
-        let finite = (0..self.state.owned()).all(|i| {
-            s.positions()[i].is_finite()
-                && s.velocities()[i].is_finite()
-                && s.forces()[i].is_finite()
-        });
         Box::new(StepView {
             energy,
             tuples,
             kinetic: self.state.kinetic_energy(),
             owned: self.state.owned(),
-            finite,
+            finite: self.state.is_finite(),
             stats: self.state.stats.clone(),
+            health: self.mailbox.check.health.counters(),
         })
     }
 }
@@ -410,46 +310,32 @@ impl Worker {
 /// endpoints; the controller then poisons the survivors so nobody blocks
 /// on a slot that can never fill.
 fn worker_main(mut w: Worker, cmd_rx: Receiver<Cmd>, reply_tx: Sender<(usize, Reply)>) {
-    loop {
-        let Ok(cmd) = cmd_rx.recv() else { return };
-        match cmd {
+    while let Ok(cmd) = cmd_rx.recv() {
+        let done = match cmd {
             Cmd::Stop => return,
             Cmd::Sink(sink) => {
                 w.tsink = sink.clone();
-                w.mailbox.tsink = sink;
-            }
-            Cmd::Step { dt, resort, comm } => match w.step(dt, resort, comm) {
-                Ok(view) => {
-                    let _ = reply_tx.send((w.rank, Reply::Step(view)));
-                }
-                Err(e) => {
-                    let _ = reply_tx.send((w.rank, Reply::Failed(e)));
-                    return;
-                }
-            },
-            Cmd::Energy { comm } => {
-                // Fresh forces without integrating; deliberately does NOT
-                // clear the priming flag, matching the BSP executor's
-                // total_energy (so both executors run the same number of
-                // exchange cycles over a run).
-                match w.exchange_and_compute(comm, w.steps_done) {
-                    Ok((energy, tuples)) => {
-                        let view = w.view(energy, tuples);
-                        let _ = reply_tx.send((w.rank, Reply::Step(view)));
-                    }
-                    Err(e) => {
-                        let _ = reply_tx.send((w.rank, Reply::Failed(e)));
-                        return;
-                    }
-                }
+                w.mailbox.check.sink = sink;
+                continue;
             }
             Cmd::Gather => {
-                let reply = Reply::Gather {
-                    atoms: w.state.owned_atoms(),
-                    masses: w.state.store().species_masses().to_vec(),
-                };
-                let _ = reply_tx.send((w.rank, reply));
+                let atoms = w.state.owned_atoms();
+                let masses = w.state.store().species_masses().to_vec();
+                let _ = reply_tx.send((w.state.rank, Reply::Gather { atoms, masses }));
+                continue;
             }
+            Cmd::Step { dt, resort, comm } => w.step(dt, resort, comm),
+            // Fresh forces without integrating; deliberately does NOT clear
+            // the priming flag, matching the BSP executor's total_energy (so
+            // both executors run the same number of exchange cycles).
+            Cmd::Energy { comm } => {
+                w.exchange_and_compute(comm, w.steps_done).map(|(e, t)| w.view(e, t))
+            }
+        };
+        let failed = done.is_err();
+        let _ = reply_tx.send((w.state.rank, done.map_or_else(Reply::Failed, Reply::Step)));
+        if failed {
+            return;
         }
     }
 }
@@ -462,6 +348,7 @@ pub struct ThreadedSim {
     grid: RankGrid,
     ff: Arc<ForceField>,
     dt: f64,
+    subdivision: i32,
     resort_every: u64,
     comm: CommConfig,
     steps_done: u64,
@@ -470,16 +357,15 @@ pub struct ThreadedSim {
     reply_tx: Sender<(usize, Reply)>,
     /// Controller-held clones of the data senders, used to poison blocked
     /// workers when one fails mid-protocol.
-    data_txs: Vec<Sender<Wire>>,
+    data_txs: Vec<Sender<Unit>>,
     handles: Vec<JoinHandle<()>>,
     /// Per-rank report from the most recent step/energy command.
     cached: Vec<StepView>,
     /// Set when the worker pool died mid-step; only `restore` revives it.
     dead: Option<RuntimeError>,
     registry: Registry,
+    obs: DistMetrics,
     tracer: Tracer,
-    /// Aggregate counters at the last metrics feed (delta source).
-    last_totals: CommCounters,
 }
 
 impl ThreadedSim {
@@ -496,13 +382,27 @@ impl ThreadedSim {
         ff: ForceField,
         dt: f64,
     ) -> Result<Self, SetupError> {
+        Self::new_subdivided(store, bbox, pdims, ff, dt, 1)
+    }
+
+    /// Like [`ThreadedSim::new`] with `k`-fold subdivided cells and reach-k
+    /// patterns (paper §6) on every rank.
+    pub fn new_subdivided(
+        store: AtomStore,
+        bbox: SimulationBox,
+        pdims: IVec3,
+        ff: ForceField,
+        dt: f64,
+        k: i32,
+    ) -> Result<Self, SetupError> {
         let grid = RankGrid::try_new(pdims, bbox)?;
-        validate_decomposition(&ff, &grid)?;
         let (reply_tx, reply_rx) = unbounded();
+        let registry = Registry::disabled();
         let mut sim = ThreadedSim {
             grid,
             ff: Arc::new(ff),
             dt,
+            subdivision: k,
             resort_every: DEFAULT_RESORT_EVERY,
             comm: CommConfig::default(),
             steps_done: 0,
@@ -513,9 +413,9 @@ impl ThreadedSim {
             handles: Vec::new(),
             cached: Vec::new(),
             dead: None,
-            registry: Registry::disabled(),
+            obs: DistMetrics::register(&registry),
+            registry,
             tracer: Tracer::disabled(),
-            last_totals: CommCounters::default(),
         };
         sim.spawn_pool(&store, 0)?;
         Ok(sim)
@@ -526,15 +426,10 @@ impl ThreadedSim {
     fn spawn_pool(&mut self, store: &AtomStore, start_step: u64) -> Result<(), SetupError> {
         let width = validate_decomposition(&self.ff, &self.grid)?;
         let plan = GhostPlan::for_method(self.ff.method, width)?;
-        let nranks = self.grid.len();
-        let states: Vec<RankState> =
-            (0..nranks).map(|r| RankState::new(r, self.grid.clone(), store, &self.ff)).collect();
-        let total: usize = states.iter().map(|r| r.owned()).sum();
-        if total != store.len() {
-            return Err(SetupError::AtomsLost { expected: store.len(), claimed: total });
-        }
-        let mut txs: Vec<Sender<Wire>> = Vec::with_capacity(nranks);
-        let mut rxs: Vec<Receiver<Wire>> = Vec::with_capacity(nranks);
+        let states = decompose(&self.grid, store, &self.ff, self.subdivision)?;
+        let nranks = states.len();
+        let mut txs: Vec<Sender<Unit>> = Vec::with_capacity(nranks);
+        let mut rxs: Vec<Receiver<Unit>> = Vec::with_capacity(nranks);
         for _ in 0..nranks {
             let (tx, rx) = unbounded();
             txs.push(tx);
@@ -551,19 +446,18 @@ impl ThreadedSim {
             let tsink = self.tracer.sink(rank as u32, 0);
             let worker = Worker {
                 state,
-                rank,
                 grid: self.grid.clone(),
                 plan: plan.clone(),
                 ff: Arc::clone(&self.ff),
-                txs: txs.clone(),
                 mailbox: Mailbox {
                     rank,
+                    txs: txs.clone(),
                     rx: rxs.remove(0),
                     pending: Vec::new(),
-                    health: HealthTracker::new(nranks, HealthConfig::default()),
-                    tsink: tsink.clone(),
+                    check: DeliveryCheck::new(nranks, tsink.clone()),
                 },
                 tsink,
+                inbox: Vec::new(),
                 phase: 0,
                 steps_done: start_step,
                 needs_prime: true,
@@ -644,21 +538,20 @@ impl ThreadedSim {
         self.comm = comm;
     }
 
-    /// The communication configuration in force.
-    pub fn comm_config(&self) -> CommConfig {
-        self.comm
-    }
-
     /// Sets the Morton re-sort cadence (0 disables; default 8, matching the
     /// BSP executor).
     pub fn set_resort_every(&mut self, every: u64) {
         self.resort_every = every;
     }
 
-    /// Routes the per-step communication deltas into `registry`.
+    /// Routes the per-step communication and health deltas into
+    /// `registry` (the same `dist.*`, `comm.*` and `health.*` series as
+    /// [`crate::DistributedSim::set_metrics`]).
     pub fn set_metrics(&mut self, registry: Registry) {
+        self.obs = DistMetrics::register(&registry);
+        self.obs.last_totals = self.comm_stats();
+        self.obs.last_health = self.health_counters();
         self.registry = registry;
-        self.last_totals = self.comm_stats();
     }
 
     /// The metrics registry in use.
@@ -681,24 +574,9 @@ impl ThreadedSim {
         &self.tracer
     }
 
-    /// The rank grid.
-    pub fn grid(&self) -> &RankGrid {
-        &self.grid
-    }
-
     /// Steps completed since construction (or the restored checkpoint).
     pub fn steps_done(&self) -> u64 {
         self.steps_done
-    }
-
-    /// The integration timestep.
-    pub fn timestep(&self) -> f64 {
-        self.dt
-    }
-
-    /// Changes the integration timestep.
-    pub fn set_timestep(&mut self, dt: f64) {
-        self.dt = dt;
     }
 
     /// One velocity-Verlet step, surfacing unrecovered faults.
@@ -715,42 +593,33 @@ impl ThreadedSim {
         Ok(())
     }
 
-    /// One velocity-Verlet step.
+    /// Runs `n` steps.
     ///
     /// # Panics
     /// Panics on an unrecovered communication fault; use
     /// [`ThreadedSim::try_step`] in fault-tolerant loops.
-    pub fn step(&mut self) {
-        self.try_step().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Runs `n` steps. Panics like [`ThreadedSim::step`] on faults.
     pub fn run_steps(&mut self, n: usize) {
         for _ in 0..n {
-            self.step();
+            self.try_step().unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
-    /// Feeds the step's communication deltas into the registry.
+    /// Feeds the step's communication and health deltas into the registry.
     fn feed_metrics(&mut self) {
-        if !self.registry.enabled() {
-            return;
+        if self.registry.enabled() {
+            self.obs.feed(self.comm_stats(), self.health_counters());
         }
-        let now = self.comm_stats();
-        self.registry.counter("dist.steps").inc();
-        self.registry.counter("comm.messages").add(now.messages - self.last_totals.messages);
-        self.registry.counter("comm.bytes").add(now.bytes - self.last_totals.bytes);
-        self.registry
-            .counter("comm.ghosts_imported")
-            .add(now.ghosts_imported - self.last_totals.ghosts_imported);
-        self.registry
-            .counter("comm.atoms_migrated")
-            .add(now.atoms_migrated - self.last_totals.atoms_migrated);
-        self.registry.counter("comm.retries").add(now.retries - self.last_totals.retries);
-        self.registry
-            .counter("comm.faults_detected")
-            .add(now.faults_detected - self.last_totals.faults_detected);
-        self.last_totals = now;
+    }
+
+    /// The workers' watchdog transition totals, summed over ranks.
+    fn health_counters(&self) -> HealthCounters {
+        self.cached.iter().fold(HealthCounters::default(), |mut sum, v| {
+            sum.suspects += v.health.suspects;
+            sum.deaths += v.health.deaths;
+            sum.recoveries += v.health.recoveries;
+            sum.breaker_trips += v.health.breaker_trips;
+            sum
+        })
     }
 
     /// Aggregated communication statistics since the pool was (re)built.
@@ -768,16 +637,7 @@ impl ThreadedSim {
     /// reduction folds into the exchange slot).
     pub fn telemetry(&self) -> Telemetry {
         let comm = self.comm_stats();
-        let mut energy = EnergyBreakdown::default();
-        let mut tuples = TupleCounts::default();
-        for v in &self.cached {
-            energy.pair += v.energy.pair;
-            energy.triplet += v.energy.triplet;
-            energy.quadruplet += v.energy.quadruplet;
-            tuples.pair.merge(v.tuples.pair);
-            tuples.triplet.merge(v.tuples.triplet);
-            tuples.quadruplet.merge(v.tuples.quadruplet);
-        }
+        let (energy, tuples) = sum_results(self.cached.iter().map(|v| (&v.energy, &v.tuples)));
         Telemetry {
             step: self.steps_done,
             energy,
@@ -819,12 +679,7 @@ impl ThreadedSim {
                 }
             }
         }
-        atoms.sort_by_key(|a| a.id);
-        let mut out = AtomStore::new(masses);
-        for a in &atoms {
-            out.push(a.id, a.species, a.position, a.velocity);
-        }
-        out
+        gather_store(atoms, masses)
     }
 }
 
@@ -853,7 +708,9 @@ impl Recoverable for ThreadedSim {
         self.shutdown_pool();
         self.dt = cp.dt;
         self.steps_done = cp.step;
-        self.last_totals = CommCounters::default();
+        // The new pool's counters and watchdogs start from zero.
+        self.obs.last_totals = CommCounters::default();
+        self.obs.last_health = HealthCounters::default();
         let store = cp.to_store();
         self.spawn_pool(&store, cp.step).expect("restore onto the original grid cannot fail");
     }
@@ -892,84 +749,5 @@ impl Recoverable for ThreadedSim {
 
     fn restore_excluding(&mut self, _cp: &Checkpoint, _exclude: &[usize]) -> Result<(), String> {
         Err("the threaded executor cannot re-decompose over survivors".to_string())
-    }
-}
-
-impl ThreadedSim {
-    /// One-shot convenience: builds the executor, runs `steps` steps, and
-    /// returns the gathered store (sorted by id), the final-step global
-    /// energy breakdown, and aggregated communication statistics.
-    ///
-    /// # Errors
-    /// [`RunError::Setup`] for rejected configurations; [`RunError::Runtime`]
-    /// when a rank's validated exchange failed mid-run.
-    pub fn run(
-        store: AtomStore,
-        bbox: SimulationBox,
-        pdims: IVec3,
-        ff: ForceField,
-        dt: f64,
-        steps: usize,
-    ) -> Result<(AtomStore, EnergyBreakdown, CommCounters), RunError> {
-        Self::run_observed(
-            store,
-            bbox,
-            pdims,
-            ff,
-            dt,
-            steps,
-            &Registry::disabled(),
-            &Tracer::disabled(),
-        )
-    }
-
-    /// Like [`ThreadedSim::run`], additionally reporting the aggregated
-    /// run totals into `registry`: the `comm.*` counter series (whole-run
-    /// totals) and the merged per-rank phase breakdown.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_metrics(
-        store: AtomStore,
-        bbox: SimulationBox,
-        pdims: IVec3,
-        ff: ForceField,
-        dt: f64,
-        steps: usize,
-        registry: &Registry,
-    ) -> Result<(AtomStore, EnergyBreakdown, CommCounters), RunError> {
-        Self::run_observed(store, bbox, pdims, ff, dt, steps, registry, &Tracer::disabled())
-    }
-
-    /// Like [`ThreadedSim::run_with_metrics`], additionally routing
-    /// event-level traces through `tracer`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed(
-        store: AtomStore,
-        bbox: SimulationBox,
-        pdims: IVec3,
-        ff: ForceField,
-        dt: f64,
-        steps: usize,
-        registry: &Registry,
-        tracer: &Tracer,
-    ) -> Result<(AtomStore, EnergyBreakdown, CommCounters), RunError> {
-        let mut sim = ThreadedSim::new(store, bbox, pdims, ff, dt)?;
-        sim.set_tracer(tracer.clone());
-        for _ in 0..steps {
-            sim.try_step()?;
-        }
-        let stats = sim.comm_stats();
-        let tel = sim.telemetry();
-        let out = sim.gather();
-        registry.counter("dist.steps").add(steps as u64);
-        registry.counter("comm.messages").add(stats.messages);
-        registry.counter("comm.bytes").add(stats.bytes);
-        registry.counter("comm.ghosts_imported").add(stats.ghosts_imported);
-        registry.counter("comm.atoms_migrated").add(stats.atoms_migrated);
-        registry.counter("comm.retries").add(stats.retries);
-        registry.counter("comm.faults_detected").add(stats.faults_detected);
-        for (phase, secs) in stats.phases.iter() {
-            registry.record_phase(phase, secs);
-        }
-        Ok((out, tel.energy, stats))
     }
 }

@@ -15,10 +15,12 @@
 //! * **atom migration** — after each drift, atoms that left their rank's
 //!   box are handed to the new owner in 3 axis-ordered exchanges.
 //!
-//! Two executors run the same [`rank::RankState`] logic:
+//! Two executors drive one exchange schedule — the same phase bodies,
+//! framing, accounting and delivery checks over the same
+//! [`rank::RankState`] logic — and differ only in the wire a unit travels:
 //!
-//! * [`DistributedSim`] — bulk-synchronous, main-thread, deterministic:
-//!   every message is delivered between phases. This is the reference
+//! * [`DistributedSim`] — bulk-synchronous, deterministic: every message is
+//!   delivered in a fixed order between phases. This is the reference
 //!   executor the correctness tests compare against serial `sc-md`.
 //! * [`ThreadedSim`] — each rank on its own OS thread with
 //!   `crossbeam-channel` mailboxes, exercising true concurrent message
@@ -57,9 +59,10 @@ pub mod transport;
 
 mod exec_bsp;
 mod exec_threads;
+mod schedule;
 
 pub use comm::{CommCounters, GhostPlan};
-pub use error::{RunError, RuntimeError, SetupError};
+pub use error::{RuntimeError, SetupError};
 pub use exec_bsp::DistributedSim;
 pub use exec_threads::ThreadedSim;
 pub use fault::{Delivery, Fault, FaultEvent, FaultKind, FaultPlan};

@@ -2,7 +2,7 @@
 //! absorption, local force computation, and ghost-force reduction.
 
 use crate::comm::{CommCounters, GhostPlan};
-use crate::error::RuntimeError;
+use crate::error::{RuntimeError, SetupError};
 use crate::grid::RankGrid;
 use crate::msg::{AtomMsg, ForceMsg, GhostMsg};
 use sc_cell::{AtomStore, CellBins, GhostLattice, Species};
@@ -184,13 +184,9 @@ pub struct RankState {
 
 impl RankState {
     /// Creates the rank state, claiming from `all` the atoms whose wrapped
-    /// position this rank owns (subdivision 1 — the paper's main setting).
-    pub fn new(rank: usize, grid: RankGrid, all: &AtomStore, ff: &ForceField) -> Self {
-        Self::new_subdivided(rank, grid, all, ff, 1)
-    }
-
-    /// Creates the rank state with `k`-fold subdivided cells and reach-k
-    /// patterns (paper §6) for the cell-sweep methods.
+    /// position this rank owns, with `k`-fold subdivided cells and reach-k
+    /// patterns (paper §6; `k = 1` is the paper's main setting) for the
+    /// cell-sweep methods.
     pub fn new_subdivided(
         rank: usize,
         grid: RankGrid,
@@ -402,89 +398,45 @@ impl RankState {
     /// the atoms this rank must send to its `-recv_dir` neighbour, positions
     /// shifted into that neighbour's frame.
     ///
-    /// Forwarded routing includes previously received ghosts — but only
-    /// those that arrived on a *strictly earlier axis*. Forwarding a ghost
-    /// back along the axis it arrived on would bounce it to its sender as a
-    /// coincident duplicate of an owned atom.
+    /// Ghost imports are staged: the store holds owned atoms only while an
+    /// import runs, and the bands received so far sit in `staged` —
+    /// `(hop, from, ghosts)` entries in canonical absorb order, positions
+    /// already in this rank's frame. Forwarded routing re-exports staged
+    /// ghosts, but only those that arrived on a *strictly earlier axis*.
+    /// Forwarding a ghost back along the axis it arrived on would bounce it
+    /// to its sender as a coincident duplicate of an owned atom.
     pub fn collect_ghost_band(
-        &self,
-        plan: &GhostPlan,
-        axis: usize,
-        recv_dir: i32,
-    ) -> Vec<GhostMsg> {
-        let origin = self.grid.origin_of(self.rank);
-        let sub = self.grid.rank_box_lengths_of(self.rank);
-        let send_dir = -recv_dir;
-        let shift = self.grid.send_shift(self.rank, axis, send_dir);
-        let mut out = Vec::new();
-        for i in 0..self.store.len() {
-            if i >= self.owned {
-                let arrived_axis = plan.hops[self.ghost_origin[i - self.owned].hop].0;
-                if arrived_axis >= axis {
-                    continue;
-                }
-            }
-            let x = self.store.positions()[i][axis];
-            let in_band = if recv_dir > 0 {
-                // Receiver needs my low band (its upper ghost region).
-                x < origin[axis] + plan.hi_width
-            } else {
-                // Receiver needs my high band (its lower ghost region).
-                x >= origin[axis] + sub[axis] - plan.lo_width
-            };
-            if in_band {
-                out.push(GhostMsg {
-                    id: self.store.ids()[i],
-                    species: self.store.species()[i],
-                    position: self.store.positions()[i] + shift,
-                });
-            }
-        }
-        out
-    }
-
-    /// [`RankState::collect_ghost_band`] for an overlapped exchange, where
-    /// received ghosts are *staged* in a side inbox instead of absorbed
-    /// into the store (the store is concurrently read by the interior
-    /// compute pass and must stay ghost-free). Owned atoms come from the
-    /// store; forwarded ghosts come from `staged` — `(hop, from, ghosts)`
-    /// entries in canonical absorb order, positions already in this rank's
-    /// frame — under the same strictly-earlier-axis rule and band
-    /// predicate, so the staged exchange ships exactly the bytes the
-    /// in-line one does.
-    pub fn collect_ghost_band_staged(
         &self,
         plan: &GhostPlan,
         axis: usize,
         recv_dir: i32,
         staged: &[(usize, usize, Vec<GhostMsg>)],
     ) -> Vec<GhostMsg> {
-        debug_assert_eq!(self.store.len(), self.owned, "staged collection runs ghost-free");
+        debug_assert_eq!(self.store.len(), self.owned, "bands are collected ghost-free");
         let origin = self.grid.origin_of(self.rank);
         let sub = self.grid.rank_box_lengths_of(self.rank);
         let shift = self.grid.send_shift(self.rank, axis, -recv_dir);
-        let mut out = self.collect_ghost_band(plan, axis, recv_dir);
-        for (hop, _from, ghosts) in staged {
-            if plan.hops[*hop].0 >= axis {
-                continue;
+        let in_band = |x: f64| {
+            if recv_dir > 0 {
+                // Receiver needs my low band (its upper ghost region).
+                x < origin[axis] + plan.hi_width
+            } else {
+                // Receiver needs my high band (its lower ghost region).
+                x >= origin[axis] + sub[axis] - plan.lo_width
             }
-            for g in ghosts {
-                let x = g.position[axis];
-                let in_band = if recv_dir > 0 {
-                    x < origin[axis] + plan.hi_width
-                } else {
-                    x >= origin[axis] + sub[axis] - plan.lo_width
-                };
-                if in_band {
-                    out.push(GhostMsg {
-                        id: g.id,
-                        species: g.species,
-                        position: g.position + shift,
-                    });
-                }
-            }
-        }
-        out
+        };
+        let s = &self.store;
+        let owned = (0..self.owned).map(|i| (s.ids()[i], s.species()[i], s.positions()[i]));
+        let forwarded = staged
+            .iter()
+            .filter(|(hop, _, _)| plan.hops[*hop].0 < axis)
+            .flat_map(|(_, _, ghosts)| ghosts)
+            .map(|g| (g.id, g.species, g.position));
+        owned
+            .chain(forwarded)
+            .filter(|&(_, _, r)| in_band(r[axis]))
+            .map(|(id, species, r)| GhostMsg { id, species, position: r + shift })
+            .collect()
     }
 
     /// Absorbs ghosts received in routing hop `hop` from `from_rank`.
@@ -603,13 +555,6 @@ impl RankState {
         self.terms = task.terms;
         self.scratch = task.scratch;
         self.pending = Some(task.partial);
-    }
-
-    /// Single-threaded convenience: the whole interior pass in one call.
-    pub fn compute_interior(&mut self, ff: &ForceField) {
-        let mut task = self.begin_interior();
-        Self::run_interior(&mut task, self, ff);
-        self.finish_interior(task);
     }
 
     /// Rebuilds the per-term lattices and computes forces over this rank's
@@ -835,6 +780,17 @@ impl RankState {
         self.hybrid_pair_lat = Some(lat);
     }
 
+    /// Whether every owned atom's position, velocity and force is finite
+    /// (the supervisor's blow-up invariant).
+    pub fn is_finite(&self) -> bool {
+        let s = &self.store;
+        (0..self.owned).all(|i| {
+            s.positions()[i].is_finite()
+                && s.velocities()[i].is_finite()
+                && s.forces()[i].is_finite()
+        })
+    }
+
     /// Gathers this rank's owned atoms (positions wrapped into the global
     /// box) for result collection.
     pub fn owned_atoms(&self) -> Vec<AtomMsg> {
@@ -962,17 +918,34 @@ pub fn halo_width_for(ff: &ForceField, grid: &RankGrid) -> f64 {
     w
 }
 
+/// Claims from `store` the atoms each rank of `grid` owns, with `k`-fold
+/// subdivided cells, failing on an unsupported `k` or when the ranks do not
+/// claim every atom.
+pub(crate) fn decompose(
+    grid: &RankGrid,
+    store: &AtomStore,
+    ff: &ForceField,
+    k: i32,
+) -> Result<Vec<RankState>, SetupError> {
+    if !(1..=3).contains(&k) {
+        return Err(SetupError::UnsupportedSubdivision(k));
+    }
+    let ranks: Vec<RankState> =
+        (0..grid.len()).map(|r| RankState::new_subdivided(r, grid.clone(), store, ff, k)).collect();
+    let claimed: usize = ranks.iter().map(|r| r.owned()).sum();
+    if claimed != store.len() {
+        return Err(SetupError::AtomsLost { expected: store.len(), claimed });
+    }
+    Ok(ranks)
+}
+
 /// Checks that `grid` can host `ff` under forwarded routing: the halo no
 /// deeper than one rank sub-box, every sub-box at least one cutoff wide, and
 /// the union of rank lattices large enough that pattern offsets do not alias
 /// through the periodic wrap. Returns the halo width on success. This is the
 /// same gate `DistributedSim::new` applies at construction, factored out so
 /// online re-decomposition can test candidate grids before committing.
-pub fn validate_decomposition(
-    ff: &ForceField,
-    grid: &RankGrid,
-) -> Result<f64, crate::error::SetupError> {
-    use crate::error::SetupError;
+pub fn validate_decomposition(ff: &ForceField, grid: &RankGrid) -> Result<f64, SetupError> {
     let width = halo_width_for(ff, grid);
     // Forwarded routing only delivers nearest-neighbour data, so every
     // individual slab — not just the average — must host the halo.

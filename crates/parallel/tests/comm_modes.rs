@@ -176,31 +176,29 @@ fn aggregated_counters_reconcile_with_per_channel_baseline() {
 #[test]
 fn threaded_executor_matches_bsp_across_modes() {
     let (store, bbox) = lj_system();
-    for comm in mode_matrix() {
-        let (reference, bsp_stats) = run_bsp(
-            &(store.clone(), bbox),
-            lj_ff(Method::ShiftCollapse),
-            IVec3::new(2, 1, 1),
-            0.002,
-            3,
-            comm,
-        );
-        let mut t = ThreadedSim::new(
-            store.clone(),
-            bbox,
-            IVec3::new(2, 1, 1),
-            lj_ff(Method::ShiftCollapse),
-            0.002,
-        )
-        .unwrap();
-        t.set_comm_config(comm);
-        t.run_steps(3);
-        let stats = t.comm_stats();
-        assert_bitwise_eq(&reference, &t.gather(), &format!("threaded {comm:?}"));
-        // Same schedule ⇒ same counters, not just same physics.
-        assert_eq!(stats.messages, bsp_stats.messages, "{comm:?}");
-        assert_eq!(stats.bytes, bsp_stats.bytes, "{comm:?}");
-        assert_eq!(stats.ghosts_imported, bsp_stats.ghosts_imported, "{comm:?}");
+    // k = 2 runs the subdivided cells and reach-2 patterns on both
+    // executors; their Eq. 29 candidate counts differ from k = 1.
+    for k in [1, 2] {
+        for comm in mode_matrix() {
+            let pdims = IVec3::new(2, 1, 1);
+            let ff = || lj_ff(Method::ShiftCollapse);
+            let mut d =
+                DistributedSim::new_subdivided(store.clone(), bbox, pdims, ff(), 0.002, k).unwrap();
+            d.set_comm_config(comm);
+            d.run(3);
+            let mut t =
+                ThreadedSim::new_subdivided(store.clone(), bbox, pdims, ff(), 0.002, k).unwrap();
+            t.set_comm_config(comm);
+            t.run_steps(3);
+            let what = format!("threaded k={k} {comm:?}");
+            assert_bitwise_eq(&d.gather(), &t.gather(), &what);
+            assert_eq!(t.telemetry().tuples, d.tuple_counts(), "{what}");
+            // Same schedule ⇒ same counters, not just same physics.
+            let (stats, bsp_stats) = (t.comm_stats(), d.comm_stats());
+            assert_eq!(stats.messages, bsp_stats.messages, "{what}");
+            assert_eq!(stats.bytes, bsp_stats.bytes, "{what}");
+            assert_eq!(stats.ghosts_imported, bsp_stats.ghosts_imported, "{what}");
+        }
     }
 }
 
@@ -276,4 +274,23 @@ fn imbalance_report_cross_checks_measured_imports_against_eq33() {
         "measured {per_exchange:.0} ghosts/exchange vs Eq. 33 prediction {predicted_ghosts:.0} \
          (ratio {ratio:.2})"
     );
+}
+
+#[test]
+fn imbalance_report_carries_per_rank_tuples() {
+    // Each rank's accepted tuples of the last force computation; over the
+    // ranks they add up to the global accepted count of every order.
+    let masses = Vashishta::silica().params().masses;
+    let (store, bbox) = build_silica_like(4, 7.16, masses, 0.01, 7);
+    let mut d =
+        DistributedSim::new(store, bbox, IVec3::splat(2), silica_ff(Method::ShiftCollapse), 0.0005)
+            .unwrap();
+    d.run(2);
+    let report = d.imbalance_report();
+    assert_eq!(report.per_rank.len(), 8);
+    assert!(report.per_rank.iter().all(|load| load.tuples > 0), "{:?}", report.per_rank);
+    let t = d.telemetry().tuples;
+    assert!(t.triplet.accepted > 0, "the silica run accepts triplets");
+    let per_rank: u64 = report.per_rank.iter().map(|load| load.tuples).sum();
+    assert_eq!(per_rank, t.pair.accepted + t.triplet.accepted + t.quadruplet.accepted);
 }

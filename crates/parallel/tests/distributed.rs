@@ -4,9 +4,11 @@
 
 use sc_cell::AtomStore;
 use sc_geom::{IVec3, SimulationBox, Vec3};
-use sc_md::{build_fcc_lattice, build_silica_like, LatticeSpec, Method, Simulation};
+use sc_md::{
+    build_fcc_lattice, build_silica_like, EnergyBreakdown, LatticeSpec, Method, Simulation,
+};
 use sc_parallel::rank::ForceField;
-use sc_parallel::{DistributedSim, ThreadedSim};
+use sc_parallel::{CommCounters, DistributedSim, ThreadedSim};
 use sc_potential::{LennardJones, TorsionToy, Vashishta};
 
 fn lj_system() -> (AtomStore, SimulationBox) {
@@ -43,6 +45,20 @@ fn assert_stores_match(bbox: &SimulationBox, a: &AtomStore, b: &AtomStore, tol: 
         assert!(dr < tol, "{what}: atom {i} position differs by {dr}");
         assert!(dv < tol, "{what}: atom {i} velocity differs by {dv}");
     }
+}
+
+/// Runs the threaded executor for `steps` steps and returns the gathered
+/// store, the last energy breakdown, and the aggregated comm counters.
+fn run_threaded(
+    (store, bbox): (AtomStore, SimulationBox),
+    pdims: IVec3,
+    ff: ForceField,
+    dt: f64,
+    steps: usize,
+) -> (AtomStore, EnergyBreakdown, CommCounters) {
+    let mut sim = ThreadedSim::new(store, bbox, pdims, ff, dt).unwrap();
+    sim.run_steps(steps);
+    (sim.gather(), sim.telemetry().energy, sim.comm_stats())
 }
 
 fn serial_snapshot(sim: &Simulation) -> AtomStore {
@@ -197,7 +213,7 @@ fn threaded_executor_handles_silica_full_shell() {
         DistributedSim::new(store.clone(), bbox, IVec3::new(2, 2, 2), mk_ff(), 0.0005).unwrap();
     bsp.run(3);
     let (gathered, energy, _) =
-        ThreadedSim::run(store, bbox, IVec3::new(2, 2, 2), mk_ff(), 0.0005, 3).unwrap();
+        run_threaded((store, bbox), IVec3::new(2, 2, 2), mk_ff(), 0.0005, 3);
     assert_stores_match(&bbox, &gathered, &bsp.gather(), 1e-9, "threaded silica FS");
     assert!(
         (energy.total() - bsp.energy_breakdown().total()).abs()
@@ -218,8 +234,7 @@ fn threaded_executor_matches_bsp() {
     .unwrap();
     bsp.run(5);
     let (gathered, energy, stats) =
-        ThreadedSim::run(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002, 5)
-            .unwrap();
+        run_threaded((store, bbox), IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002, 5);
     assert_stores_match(&bbox, &gathered, &bsp.gather(), 1e-9, "threaded vs BSP");
     assert!(
         (energy.total() - bsp.energy_breakdown().total()).abs()
@@ -374,7 +389,7 @@ fn threaded_single_rank_matches_serial_silica() {
         method: Method::ShiftCollapse,
     };
     let (gathered, energy, stats) =
-        ThreadedSim::run(store.clone(), bbox, IVec3::splat(1), ff, 0.0005, 3).unwrap();
+        run_threaded((store.clone(), bbox), IVec3::splat(1), ff, 0.0005, 3);
     let mut serial = Simulation::builder(store, bbox)
         .pair_potential(Box::new(v.pair.clone()))
         .triplet_potential(Box::new(v.triplet.clone()))
@@ -464,24 +479,25 @@ fn telemetry_snapshot_carries_every_section() {
 }
 
 #[test]
-fn threaded_run_with_metrics_reports_totals() {
+fn threaded_metrics_report_run_totals() {
     use sc_obs::{Phase, Registry};
     let reg = Registry::new();
     let (store, bbox) = lj_system();
-    let (_, _, stats) = ThreadedSim::run_with_metrics(
-        store,
-        bbox,
-        IVec3::splat(2),
-        lj_ff(Method::ShiftCollapse),
-        0.002,
-        3,
-        &reg,
-    )
-    .unwrap();
+    let mut sim =
+        ThreadedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
+            .unwrap();
+    sim.set_metrics(reg.clone());
+    sim.run_steps(3);
+    // The per-step deltas add up to the whole-run totals.
+    let stats = sim.comm_stats();
+    assert_eq!(reg.counter("dist.steps").get(), 3);
     assert_eq!(reg.counter("comm.messages").get(), stats.messages);
     assert_eq!(reg.counter("comm.bytes").get(), stats.bytes);
-    assert!(reg.phase_s(Phase::Exchange) > 0.0, "threaded exchange wall time is reported");
-    assert!(reg.phase_s(Phase::Bin) > 0.0);
+    assert_eq!(reg.counter("comm.ghosts_imported").get(), stats.ghosts_imported);
+    assert_eq!(reg.counter("comm.atoms_migrated").get(), stats.atoms_migrated);
+    let phases = sim.telemetry().phases;
+    assert!(phases.get(Phase::Exchange) > 0.0, "threaded exchange time is reported");
+    assert!(phases.get(Phase::Bin) > 0.0);
 }
 
 #[test]
@@ -571,23 +587,17 @@ fn imbalance_report_is_consistent_with_aggregated_comm_counters() {
 }
 
 #[test]
-fn threaded_run_observed_traces_every_rank() {
-    use sc_obs::{EventKind, Registry, Tracer};
+fn threaded_tracer_covers_every_rank() {
+    use sc_obs::{EventKind, Tracer};
 
-    let reg = Registry::new();
     let tracer = Tracer::new();
     let (store, bbox) = lj_system();
-    let (_, _, stats) = ThreadedSim::run_observed(
-        store,
-        bbox,
-        IVec3::splat(2),
-        lj_ff(Method::ShiftCollapse),
-        0.002,
-        2,
-        &reg,
-        &tracer,
-    )
-    .unwrap();
+    let mut sim =
+        ThreadedSim::new(store, bbox, IVec3::splat(2), lj_ff(Method::ShiftCollapse), 0.002)
+            .unwrap();
+    sim.set_tracer(tracer.clone());
+    sim.run_steps(2);
+    let stats = sim.comm_stats();
 
     let events = tracer.events();
     let send_bytes: u64 = events
